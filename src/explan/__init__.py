@@ -42,7 +42,6 @@ from .model import (
     apply_features,
     diff,
     gamma,
-    model_from_features,
     parse_feature_name,
     remove_features,
 )

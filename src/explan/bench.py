@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .errors import ExplanError, UnknownAction
 from .grounding import GroundedTask, align_universes, ground
-from .model import FeatureSet, parse_feature_name, remove_features
+from .model import FeatureSet, GroundedModel, parse_feature_name, remove_features
 from .oracle import Overflow, PlanSet, min_complete_subsets, optimal_plans_of
 from .pddl import parse_domain, parse_problem
 from .planner import Plan
@@ -138,19 +138,19 @@ def load_task(domain_path: str | Path, problem_path: str | Path) -> GroundedTask
     return ground(domain, problem)
 
 
-def load_problem(
+def load_models(
     domain_path: str | Path,
     problem_path: str | Path,
-    human_domain_path: str | Path | None = None,
-    removal_list_path: str | Path | None = None,
-    robot_plan_names: list[str] | None = None,
-) -> ReconciliationProblem:
-    """Build a reconciliation problem from files.
+    human_domain_path: str | Path | None,
+    removal_list_path: str | Path | None,
+) -> tuple[GroundedTask, GroundedModel]:
+    """Ground the robot task and build the human model over its universe.
 
     The human model comes either from a second domain file (grounded over
     the same problem, then re-indexed onto the shared fact universe) or
     from a removal list: one canonical feature name per line, stripped from
-    the robot model.
+    the robot model.  Blank lines and lines whose first non-blank character
+    is ``#`` are skipped.
     """
     robot_task = load_task(domain_path, problem_path)
     if human_domain_path is not None:
@@ -167,7 +167,19 @@ def load_problem(
         human_model = remove_features(robot_task.model, removals)
     else:
         raise ValueError("supply a human domain file or a removal list")
+    return robot_task, human_model
 
+
+def load_problem(
+    domain_path: str | Path,
+    problem_path: str | Path,
+    human_domain_path: str | Path | None = None,
+    removal_list_path: str | Path | None = None,
+    robot_plan_names: list[str] | None = None,
+) -> ReconciliationProblem:
+    """Build a reconciliation problem from files (see ``load_models``)."""
+    robot_task, human_model = load_models(
+        domain_path, problem_path, human_domain_path, removal_list_path)
     robot_plan = None
     if robot_plan_names is not None:
         ids = tuple(robot_task.model.action_ids.get(n) for n in robot_plan_names)
@@ -253,7 +265,7 @@ def run_entry(entry: SuiteEntry, method: str, seed: int,
         future = executor.submit(work)
         explanation, report = future.result(timeout=time_limit_s)
     except FutureTimeout:
-        record.error = f"timeout after {time_limit_s:.0f}s"
+        record.error = f"timeout after {time_limit_s:g}s"
         record.time_s = time.perf_counter() - start
         return record
     except ExplanError as exc:

@@ -12,7 +12,15 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import SuiteConfig, emit_table, load_problem, load_task, run_method, run_suite
+from .bench import (
+    SuiteConfig,
+    emit_table,
+    load_models,
+    load_problem,
+    load_task,
+    run_method,
+    run_suite,
+)
 from .errors import (
     ExplanError,
     ExtraFeatures,
@@ -24,9 +32,7 @@ from .errors import (
     PddlError,
     SearchExhausted,
 )
-from .grounding import align_universes, ground
 from .model import FeatureSet, diff, parse_feature_name
-from .pddl import parse_domain, parse_problem
 from .reconcile import (
     OnlineExplanation,
     ReconciliationProblem,
@@ -75,20 +81,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    robot = load_task(args.domain, args.problem)
-    if args.remove_features:
-        from .model import remove_features
-
-        lines = Path(args.remove_features).read_text().splitlines()
-        names = [ln.strip() for ln in lines if ln.strip() and not ln.startswith("#")]
-        removals = FeatureSet(parse_feature_name(n, robot.model) for n in names)
-        human_model = remove_features(robot.model, removals)
-    else:
-        human_domain = parse_domain(Path(args.human_domain).read_text())
-        problem = parse_problem(Path(args.problem).read_text())
-        human = ground(human_domain, problem)
-        robot, human = align_universes(robot, human)
-        human_model = human.model
+    robot, human_model = load_models(args.domain, args.problem,
+                                     args.human_domain, args.remove_features)
     _write_out(diff(robot.model, human_model).to_json(), args.out)
     return EXIT_OK
 

@@ -8,7 +8,7 @@ feature per action.  Feature sets are the currency of explanation search.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -20,6 +20,7 @@ DEL_EFFECT = "del-effect"
 COST = "cost"
 
 _KINDS = (PRECONDITION, ADD_EFFECT, DEL_EFFECT, COST)
+_FACT_FIELDS = {PRECONDITION: "pre", ADD_EFFECT: "add", DEL_EFFECT: "delete"}
 _MARKER_RE = re.compile(r"-has-(precondition|add-effect|del-effect|cost)-")
 
 
@@ -202,76 +203,51 @@ def gamma(model: GroundedModel) -> FeatureSet:
 
 
 def diff(mr: GroundedModel, mh: GroundedModel) -> ModelDiff:
-    """Feature-level difference of two models over the same universe."""
+    """Feature-level difference of two models over the same universe.
+
+    Equal to ``gamma(mr) - gamma(mh)`` and ``gamma(mh) - gamma(mr)``, but
+    compared action by action, so features are built only where the two
+    actions differ.
+    """
     if mr.fact_names != mh.fact_names or mr.action_names != mh.action_names:
         raise UniverseMismatch(
             "models do not share fact/action universes; ground them together")
-    gr, gh = gamma(mr), gamma(mh)
-    return ModelDiff(missing=gr - gh, extra=gh - gr)
+    missing: list[ModelFeature] = []
+    extra: list[ModelFeature] = []
+    for ar, ah in zip(mr.actions, mh.actions):
+        if ar is ah:
+            continue
+        for kind, field in _FACT_FIELDS.items():
+            fr, fh = getattr(ar, field), getattr(ah, field)
+            missing += (ModelFeature(ar.name, kind, mr.fact_names[i]) for i in fr - fh)
+            extra += (ModelFeature(ar.name, kind, mr.fact_names[i]) for i in fh - fr)
+        if ar.cost != ah.cost:
+            missing.append(ModelFeature(ar.name, COST, ar.cost))
+            extra.append(ModelFeature(ar.name, COST, ah.cost))
+    return ModelDiff(missing=FeatureSet(missing), extra=FeatureSet(extra))
 
 
-def model_from_features(
-    features: FeatureSet,
-    fact_names: tuple[str, ...],
-    action_names: tuple[str, ...],
-) -> GroundedModel:
-    """Rebuild a model from a feature set over known fact/action universes.
+def _edited(model: GroundedModel, features: FeatureSet, combine) -> GroundedModel:
+    """Rebuild only the actions ``features`` name; reuse every other action.
 
-    Every action must carry exactly one cost feature.
+    Each named fact field becomes ``combine(old facts, named facts)``; a cost
+    feature sets the action's cost.
     """
-    fact_ids = {name: i for i, name in enumerate(fact_names)}
-    parts: dict[str, dict] = {
-        name: {"pre": set(), "add": set(), "delete": set(), "cost": None}
-        for name in action_names
-    }
+    changes: dict[int, dict] = {}
     for f in features:
-        if f.action not in parts:
-            raise UnknownAction(f"feature {f.name!r}: unknown action")
-        slot = parts[f.action]
+        fields = changes.setdefault(model.action_ids[f.action], {})
         if f.kind == COST:
-            if slot["cost"] is not None:
-                raise ValueError(f"action {f.action!r} has two cost features")
-            slot["cost"] = f.payload
+            fields["cost"] = f.payload
         else:
-            if f.payload not in fact_ids:
-                raise UnknownFact(f"feature {f.name!r}: unknown fact")
-            key = {PRECONDITION: "pre", ADD_EFFECT: "add", DEL_EFFECT: "delete"}[f.kind]
-            slot[key].add(fact_ids[f.payload])
-    actions = []
-    for name in action_names:
-        slot = parts[name]
-        if slot["cost"] is None:
-            raise ValueError(f"action {name!r} has no cost feature")
-        actions.append(GroundAction(
-            name=name,
-            pre=frozenset(slot["pre"]),
-            add=frozenset(slot["add"]),
-            delete=frozenset(slot["delete"]),
-            cost=slot["cost"],
-        ))
-    return GroundedModel(fact_names=fact_names, actions=tuple(actions))
-
-
-def _merged_features(model: GroundedModel, adds: FeatureSet) -> FeatureSet:
-    base = gamma(model)
-    replaced = cost_replacements(model, adds)
-    return FeatureSet(
-        [f for f in base if f not in replaced] + list(adds)
-    )
-
-
-def cost_replacements(model: GroundedModel, adds: FeatureSet) -> FeatureSet:
-    """Existing cost features that adding ``adds`` would retire.
-
-    An action has exactly one cost, so an incoming cost feature displaces the
-    current one; callers that care report this alongside the edited model.
-    """
-    incoming_cost_actions = {f.action for f in adds if f.kind == COST}
-    current = gamma(model)
-    return FeatureSet(
-        f for f in current
-        if f.kind == COST and f.action in incoming_cost_actions and f not in adds
-    )
+            field = _FACT_FIELDS[f.kind]
+            fields[field] = fields.get(field, frozenset()) | {model.fact_ids[f.payload]}
+    actions = list(model.actions)
+    for aid, fields in changes.items():
+        action = actions[aid]
+        for field in fields.keys() - {"cost"}:
+            fields[field] = combine(getattr(action, field), fields[field])
+        actions[aid] = replace(action, **fields)
+    return GroundedModel(fact_names=model.fact_names, actions=tuple(actions))
 
 
 def apply_features(model: GroundedModel, adds: FeatureSet) -> GroundedModel:
@@ -285,8 +261,7 @@ def apply_features(model: GroundedModel, adds: FeatureSet) -> GroundedModel:
             raise UnknownAction(f"feature {f.name!r}: unknown action")
         if f.kind != COST and f.payload not in model.fact_ids:
             raise UnknownFact(f"feature {f.name!r}: unknown fact")
-    merged = _merged_features(model, adds)
-    return model_from_features(merged, model.fact_names, model.action_names)
+    return _edited(model, adds, frozenset.union)
 
 
 def remove_features(model: GroundedModel, removals: FeatureSet) -> GroundedModel:
@@ -296,11 +271,12 @@ def remove_features(model: GroundedModel, removals: FeatureSet) -> GroundedModel
     Every removal must exist in the model; this is how human models are
     derived from robot models in the benchmark harness.
     """
-    current = gamma(model)
     for f in removals:
         if f.kind == COST:
             raise UnknownFeature(
                 f"cost feature {f.name!r} cannot be removed; costs are exchanged, not deleted")
-        if f not in current:
+        aid = model.action_ids.get(f.action)
+        if aid is None or model.fact_ids.get(f.payload) not in getattr(
+                model.actions[aid], _FACT_FIELDS[f.kind]):
             raise UnknownFeature(f"feature {f.name!r} is not present in the model")
-    return model_from_features(current - removals, model.fact_names, model.action_names)
+    return _edited(model, removals, frozenset.difference)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import heappop, heappush
 from typing import Sequence
 
@@ -52,24 +51,17 @@ class Invalid:
     step: int
 
 
-def _masks(model: GroundedModel):
-    def mask(fids: frozenset[int]) -> int:
-        m = 0
-        for f in fids:
-            m |= 1 << f
-        return m
-
-    return [(a.cost, mask(a.pre), mask(a.add), mask(a.delete)) for a in model.actions]
-
-
-def _state_mask(fids: frozenset[int]) -> int:
+def _mask(fids: frozenset[int]) -> int:
     m = 0
     for f in fids:
         m |= 1 << f
     return m
 
 
-@lru_cache(maxsize=4096)
+def _masks(model: GroundedModel):
+    return [(a.cost, _mask(a.pre), _mask(a.add), _mask(a.delete)) for a in model.actions]
+
+
 def plan_optimal(model: GroundedModel, init: frozenset[int], goal: frozenset[int]) -> Plan | None:
     """Minimum-cost plan from ``init`` to ``goal``, or None if unreachable.
 
@@ -78,8 +70,8 @@ def plan_optimal(model: GroundedModel, init: frozenset[int], goal: frozenset[int
     order.
     """
     acts = _masks(model)
-    init_m = _state_mask(init)
-    goal_m = _state_mask(goal)
+    init_m = _mask(init)
+    goal_m = _mask(goal)
 
     best: dict[int, tuple[int, tuple[int, ...]]] = {init_m: (0, ())}
     heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), init_m)]
@@ -246,16 +238,16 @@ def exists_optimal_with_prefix(
     init: frozenset[int],
     goal: frozenset[int],
     prefix: Sequence[int],
+    optimum: Plan | None,
 ) -> bool:
     """Whether some optimal plan starts with ``prefix``.
 
-    Decided by two planner calls: the unconstrained optimum and the optimum
-    of the prefix-forced compilation; they coincide exactly when an optimal
-    plan carrying the prefix exists.
+    ``optimum`` is the caller's ``plan_optimal(model, init, goal)``.  Some
+    optimal plan carries the prefix exactly when the optimum of the
+    prefix-forced compilation costs the same.
     """
-    unconstrained = plan_optimal(model, init, goal)
-    if unconstrained is None:
+    if optimum is None:
         raise InconsistentTask("the unconstrained task is unsolvable")
     compiled = compile_prefix(GroundedTask(model=model, init=init, goal=goal), prefix)
     forced = plan_optimal(compiled.task.model, compiled.task.init, compiled.task.goal)
-    return forced is not None and forced.cost == unconstrained.cost
+    return forced is not None and forced.cost == optimum.cost

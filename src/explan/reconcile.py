@@ -20,7 +20,8 @@ within a level, so results are deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterator
 
@@ -60,13 +61,24 @@ VARIANTS = (VARIANT_PP, VARIANT_NA, VARIANT_AP, VARIANT_MCER)
 
 @dataclass(frozen=True)
 class ReconciliationProblem:
-    """A robot plan to explain, plus the two models it must reconcile."""
+    """A robot plan to explain, plus the two models it must reconcile.
+
+    The problem memoises planner results over the human model plus a
+    feature subset, so every generator and the verifier share one cache.
+    The results are deterministic, so the memo never changes an answer.
+    """
 
     robot_model: GroundedModel
     human_model: GroundedModel
     init: frozenset[int]
     goal: frozenset[int]
     robot_plan: Plan
+    _models: dict[FeatureSet, GroundedModel] = field(
+        init=False, compare=False, repr=False, default_factory=dict)
+    _plans: dict[FeatureSet, Plan | None] = field(
+        init=False, compare=False, repr=False, default_factory=dict)
+    _prefix_ok: dict[tuple[FeatureSet, int], bool] = field(
+        init=False, compare=False, repr=False, default_factory=dict)
 
     @classmethod
     def build(
@@ -99,16 +111,54 @@ class ReconciliationProblem:
                 raise NonOptimalPlan(
                     f"the robot plan costs {cost}, optimal is {optimal.cost}")
             robot_plan = Plan(actions=tuple(robot_plan.actions), cost=cost)
-        return cls(robot_model=robot_model, human_model=human_model,
-                   init=init, goal=goal, robot_plan=robot_plan)
+        problem = cls(robot_model=robot_model, human_model=human_model,
+                      init=init, goal=goal, robot_plan=robot_plan)
+        vars(problem)["model_diff"] = d  # fills the cached property
+        # the human model plus the whole diff is the robot model
+        problem._plans[d.missing] = optimal
+        return problem
 
-    @property
+    @cached_property
     def model_diff(self) -> ModelDiff:
         return diff(self.robot_model, self.human_model)
 
     @property
     def missing(self) -> FeatureSet:
         return self.model_diff.missing
+
+    def model(self, applied: FeatureSet) -> GroundedModel:
+        """The human model after adding ``applied``."""
+        cached = self._models.get(applied)
+        if cached is None:
+            cached = apply_features(self.human_model, applied)
+            self._models[applied] = cached
+        return cached
+
+    def plan(self, applied: FeatureSet) -> Plan | None:
+        """The canonical optimal plan of ``model(applied)``."""
+        if applied not in self._plans:
+            self._plans[applied] = plan_optimal(self.model(applied), self.init, self.goal)
+        return self._plans[applied]
+
+    def prefix_ok(self, applied: FeatureSet, step: int) -> bool:
+        """Whether some optimal plan of ``model(applied)`` carries the prefix.
+
+        The empty prefix is vacuously carried (nothing executed yet needs
+        justifying).  Otherwise an unsolvable model has no optimal plans and
+        an inexecutable prefix is carried by none, so both answer False
+        rather than erroring.
+        """
+        if step <= 0:
+            return True
+        key = (applied, step)
+        if key not in self._prefix_ok:
+            try:
+                self._prefix_ok[key] = exists_optimal_with_prefix(
+                    self.model(applied), self.init, self.goal,
+                    self.robot_plan.prefix(step), self.plan(applied))
+            except (PrefixNotExecutable, InconsistentTask):
+                self._prefix_ok[key] = False
+        return self._prefix_ok[key]
 
 
 @dataclass(frozen=True)
@@ -184,45 +234,6 @@ class OnlineExplanation:
         return doc
 
 
-class _Session:
-    """Plan cache over models reached by adding feature subsets to the human model."""
-
-    def __init__(self, problem: ReconciliationProblem):
-        self.problem = problem
-        self._models: dict[FeatureSet, GroundedModel] = {}
-        self._plans: dict[FeatureSet, Plan | None] = {}
-
-    def model(self, applied: FeatureSet) -> GroundedModel:
-        cached = self._models.get(applied)
-        if cached is None:
-            cached = apply_features(self.problem.human_model, applied)
-            self._models[applied] = cached
-        return cached
-
-    def plan(self, applied: FeatureSet) -> Plan | None:
-        if applied not in self._plans:
-            self._plans[applied] = plan_optimal(
-                self.model(applied), self.problem.init, self.problem.goal)
-        return self._plans[applied]
-
-    def prefix_ok(self, applied: FeatureSet, step: int) -> bool:
-        """Whether some optimal plan of the updated model carries the prefix.
-
-        The empty prefix is vacuously carried (nothing executed yet needs
-        justifying).  Otherwise an unsolvable model has no optimal plans and
-        an inexecutable prefix is carried by none, so both answer False
-        rather than erroring.
-        """
-        if step <= 0:
-            return True
-        prefix = self.problem.robot_plan.prefix(step)
-        try:
-            return exists_optimal_with_prefix(
-                self.model(applied), self.problem.init, self.problem.goal, prefix)
-        except (PrefixNotExecutable, InconsistentTask):
-            return False
-
-
 def _subsets(features: FeatureSet, include_empty: bool = False) -> Iterator[FeatureSet]:
     """Subsets in (cardinality, lexicographic) order; the determinism contract."""
     feats = tuple(features)
@@ -232,7 +243,7 @@ def _subsets(features: FeatureSet, include_empty: bool = False) -> Iterator[Feat
 
 
 def _require_canonical(problem: ReconciliationProblem) -> None:
-    canonical = plan_optimal(problem.robot_model, problem.init, problem.goal)
+    canonical = problem.plan(problem.missing)
     if canonical is None or canonical.actions != problem.robot_plan.actions:
         raise NonCanonicalPlan(
             "the supplied robot plan is not the canonical planner output; "
@@ -255,14 +266,13 @@ def mce(problem: ReconciliationProblem) -> FeatureSet:
     Subsets are tried breadth-first by size, lexicographically within a size,
     and the first complete one wins.
     """
-    session = _Session(problem)
     pstar = problem.robot_plan
     for delta in _subsets(problem.missing, include_empty=True):
-        updated = session.model(delta)
+        updated = problem.model(delta)
         cost = validate(updated, problem.init, problem.goal, pstar)
         if isinstance(cost, Invalid):
             continue
-        optimal = session.plan(delta)
+        optimal = problem.plan(delta)
         if optimal is not None and optimal.cost == cost:
             return delta
     raise NotReconcilable(
@@ -333,8 +343,6 @@ def oeg_pp(problem: ReconciliationProblem, mode: str = "approx",
     if mode not in ("approx", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
     _require_canonical(problem)
-    session = _Session(problem)
-    pstar = problem.robot_plan
     missing = problem.missing
 
     notes: tuple[str, ...] = ()
@@ -344,20 +352,20 @@ def oeg_pp(problem: ReconciliationProblem, mode: str = "approx",
                  f"{exact_threshold}; fell back to approximate search",)
 
     if mode == "exact":
-        parts = _pp_exact(session, pstar, missing)
+        parts = _pp_exact(problem)
         return OnlineExplanation(variant=VARIANT_PP, parts=tuple(parts), notes=notes)
 
-    parts, fallback = _pp_approx(session, pstar, missing)
+    parts, fallback = _pp_approx(problem)
     return OnlineExplanation(variant=VARIANT_PP, parts=tuple(parts),
                              fallback=fallback, notes=notes)
 
 
-def _pp_approx(session: _Session, pstar: Plan,
-               missing: FeatureSet) -> tuple[list[SubExplanation], bool]:
+def _pp_approx(problem: ReconciliationProblem) -> tuple[list[SubExplanation], bool]:
+    pstar, missing = problem.robot_plan, problem.missing
     horizon = len(pstar)
 
     def frame_for(applied: FeatureSet, parts: list[SubExplanation]):
-        plan = session.plan(applied)
+        plan = problem.plan(applied)
         d = _divergence(pstar, plan)
         return None if d is None else (iter(_subsets(missing - applied)), applied, parts, d)
 
@@ -370,7 +378,7 @@ def _pp_approx(session: _Session, pstar: Plan,
         candidates, applied, parts, d = stack[-1]
         chosen: FeatureSet | None = None
         for e in candidates:
-            if matches_through(pstar, session.plan(applied | e), d):
+            if matches_through(pstar, problem.plan(applied | e), d):
                 chosen = e
                 break
         if chosen is None:
@@ -384,18 +392,18 @@ def _pp_approx(session: _Session, pstar: Plan,
         stack.append(frame)
 
     # exhausted every candidate chain: emit whatever is left in one flagged part
-    plan = session.plan(missing)
+    plan = problem.plan(missing)
     assert _divergence(pstar, plan) is None, "full diff must recreate the robot model"
     return _append_part([], missing, min(first_divergence, horizon) if horizon else 1), True
 
 
-def _pp_exact(session: _Session, pstar: Plan,
-              missing: FeatureSet) -> list[SubExplanation]:
+def _pp_exact(problem: ReconciliationProblem) -> list[SubExplanation]:
+    pstar, missing = problem.robot_plan, problem.missing
     horizon = len(pstar)
     applied = FeatureSet()
     parts: list[SubExplanation] = []
     while True:
-        d = _divergence(pstar, session.plan(applied))
+        d = _divergence(pstar, problem.plan(applied))
         if d is None:
             return parts
         remaining = missing - applied
@@ -405,7 +413,7 @@ def _pp_exact(session: _Session, pstar: Plan,
             # remaining explanations, i.e. the robot model minus any subset
             # of the holdout
             if all(
-                matches_through(pstar, session.plan(missing - FeatureSet(s)), d)
+                matches_through(pstar, problem.plan(missing - FeatureSet(s)), d)
                 for k in range(len(holdout) + 1)
                 for s in combinations(tuple(holdout), k)
             ):
@@ -426,21 +434,20 @@ def oeg_na(problem: ReconciliationProblem) -> OnlineExplanation:
     may silently reshuffle already-executed steps.
     """
     _require_canonical(problem)
-    session = _Session(problem)
     pstar = problem.robot_plan
     missing = problem.missing
 
     applied = FeatureSet()
     parts: list[SubExplanation] = []
     unfixable: list[int] = []
-    plan = session.plan(applied)
+    plan = problem.plan(applied)
     for t in range(1, len(pstar) + 1):
         want = pstar.action_at(t)
         have = plan.action_at(t) if plan is not None and t <= len(plan) else None
         if have == want:
             continue
         for e in _subsets(missing - applied):
-            candidate = session.plan(applied | e)
+            candidate = problem.plan(applied | e)
             if candidate is not None and t <= len(candidate) \
                     and candidate.action_at(t) == want:
                 applied = applied | e
@@ -461,7 +468,6 @@ def oeg_ap(problem: ReconciliationProblem) -> OnlineExplanation:
     restoring one.  The uniqueness assumption is dropped: the supplied robot
     plan need not be the canonical planner output.
     """
-    session = _Session(problem)
     pstar = problem.robot_plan
     missing = problem.missing
 
@@ -469,17 +475,17 @@ def oeg_ap(problem: ReconciliationProblem) -> OnlineExplanation:
     parts: list[SubExplanation] = []
     t = 1
     while t <= len(pstar):
-        if session.prefix_ok(applied, t):
+        if problem.prefix_ok(applied, t):
             t += 1
             continue
         for e in _subsets(missing - applied):
-            if session.prefix_ok(applied | e, t):
+            if problem.prefix_ok(applied | e, t):
                 applied = applied | e
                 parts.append(SubExplanation(features=e, step=t))
                 break
         else:  # pragma: no cover - the full remainder restores the robot model
             raise SearchExhausted(f"no feature subset restores the prefix at step {t}")
-    assert session.prefix_ok(applied, len(pstar))
+    assert problem.prefix_ok(applied, len(pstar))
     return OnlineExplanation(variant=VARIANT_AP, parts=tuple(parts))
 
 
@@ -544,7 +550,6 @@ def verify_online(problem: ReconciliationProblem,
     if not explanation.features.issubset(problem.missing):
         raise ExtraFeatures(
             (explanation.features - problem.missing).names())
-    session = _Session(problem)
     pstar = problem.robot_plan
     variant = explanation.variant
 
@@ -554,34 +559,34 @@ def verify_online(problem: ReconciliationProblem,
     applied = FeatureSet()
     prev_step = 1  # segment lower bound for next-action checks
     for k, part in enumerate(explanation.parts, start=1):
-        before = session.plan(applied)
+        before = problem.plan(applied)
         witness = tuple(before.names(problem.human_model)) if before else ()
         if variant == VARIANT_PP:
             holds = matches_through(pstar, before, part.step - 1)
         elif variant == VARIANT_NA:
             holds = _segment_equal(pstar, before, prev_step, part.step - 1)
         elif variant == VARIANT_AP:
-            holds = session.prefix_ok(applied, part.step - 1)
+            holds = problem.prefix_ok(applied, part.step - 1)
         else:
             holds = True  # random splits promise nothing per step
         checks.append(StepCheck(index=k, step=part.step, holds=holds, witness=witness))
         applied = applied | part.features
         if variant == VARIANT_NA:
-            after = session.plan(applied)
+            after = problem.plan(applied)
             na_triggers.append(
                 after is not None and part.step <= len(after)
                 and after.action_at(part.step) == pstar.action_at(part.step))
             prev_step = part.step
-    final_plan = session.plan(applied)
+    final_plan = problem.plan(applied)
 
     if variant == VARIANT_PP:
         final_check = final_plan is not None and final_plan.actions == pstar.actions
     elif variant == VARIANT_NA:
         final_check = all(na_triggers)
     elif variant == VARIANT_AP:
-        final_check = session.prefix_ok(applied, len(pstar))
+        final_check = problem.prefix_ok(applied, len(pstar))
     else:
-        cost = validate(session.model(applied), problem.init, problem.goal, pstar)
+        cost = validate(problem.model(applied), problem.init, problem.goal, pstar)
         final_check = (not isinstance(cost, Invalid)
                        and final_plan is not None and cost == final_plan.cost)
 

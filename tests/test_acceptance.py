@@ -127,7 +127,8 @@ def test_criterion_6_any_prefix_agreement(all_problems, tieworld):
                 member = any(p[:t] == prefix for p in found.plans)
                 try:
                     fast = exists_optimal_with_prefix(model, problem.init,
-                                                      problem.goal, prefix)
+                                                      problem.goal, prefix,
+                                                      unconstrained)
                 except PrefixNotExecutable:
                     fast = False
                 ok &= fast == member

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
-from explan import fixture_path
+from explan import bench, fixture_path
 from explan.bench import (
     BenchRecord,
     SuiteConfig,
     SuiteEntry,
     emit_table,
+    run_entry,
     run_suite,
 )
 from explan.cli import cli_main
@@ -105,6 +107,25 @@ def test_bad_method_rejected():
         SuiteConfig(entries=(), methods=("warp",))
 
 
+def test_timeout_reports_the_configured_limit(monkeypatch):
+    release = threading.Event()
+    original = bench.run_method
+
+    def slow(*args, **kwargs):
+        release.wait(5)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_method", slow)
+    entry = SuiteEntry(problem_id="minirover", domain=fixture_path("minirover-domain.pddl"),
+                       problem=fixture_path("minirover-problem.pddl"),
+                       human_domain=fixture_path("minirover-human.pddl"))
+    try:
+        record = run_entry(entry, "mce", seed=0, oracle_checks=False, time_limit_s=0.02)
+    finally:
+        release.set()
+    assert record.error == "timeout after 0.02s"
+
+
 # -- command line ---------------------------------------------------------------
 
 
@@ -153,6 +174,19 @@ def test_cli_diff_output(capsys):
     assert doc["missing"] == ["drill-sample-has-precondition-warmed",
                               "take-image-has-precondition-calibrated"]
     assert doc["extra"] == []
+
+
+def test_cli_removal_list_skips_indented_comments(tmp_path, capsys):
+    removals = tmp_path / "removals.txt"
+    removals.write_text("  # indented comment\n"
+                        + fixture_path("minirover2-removals.txt").read_text())
+    pair = ["--domain", _fx("minirover2-domain.pddl"),
+            "--problem", _fx("minirover2-problem.pddl"),
+            "--remove-features", str(removals)]
+    assert cli_main(["diff", *pair]) == 0
+    assert len(json.loads(capsys.readouterr().out)["missing"]) == 2
+    assert cli_main(["explain", "--method", "mce", *pair]) == 0
+    assert json.loads(capsys.readouterr().out)["total_features"] == 2
 
 
 def test_cli_trace_verify_round_trip(tmp_path, capsys):

@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 
 from explan.errors import UniverseMismatch, UnknownAction, UnknownFeature
 from explan.model import (
+    ADD_EFFECT,
     COST,
+    DEL_EFFECT,
+    PRECONDITION,
     FeatureSet,
     GroundAction,
     GroundedModel,
     ModelFeature,
     apply_features,
-    cost_replacements,
     diff,
     gamma,
-    model_from_features,
     parse_feature_name,
     remove_features,
 )
@@ -108,8 +109,6 @@ def test_apply_cost_feature_replaces_old(toy):
     feats = gamma(updated).names()
     assert "calibrate-has-cost-3" in feats
     assert "calibrate-has-cost-1" not in feats
-    replaced = cost_replacements(toy, FeatureSet([ModelFeature("calibrate", COST, 3)]))
-    assert replaced.names() == ["calibrate-has-cost-1"]
 
 
 def test_apply_unknown_action_rejected(toy):
@@ -151,32 +150,86 @@ def test_one_cost_feature_per_action_enforced():
 # -- property tests ----------------------------------------------------------------
 
 
+def _draw_action(draw, name: str, n_facts: int) -> GroundAction:
+    ids = st.sets(st.integers(0, n_facts - 1), max_size=n_facts)
+    add = draw(ids)
+    delete = draw(ids) - add
+    return GroundAction(
+        name=name,
+        pre=frozenset(draw(ids)),
+        add=frozenset(add),
+        delete=frozenset(delete),
+        cost=draw(st.integers(1, 4)),
+    )
+
+
 @st.composite
 def models(draw):
     n_facts = draw(st.integers(2, 5))
     fact_names = tuple(f"f{i}" for i in range(n_facts))
     n_actions = draw(st.integers(1, 4))
-    actions = []
-    for i in range(n_actions):
-        ids = st.sets(st.integers(0, n_facts - 1), max_size=n_facts)
-        add = draw(ids)
-        delete = draw(ids) - add
-        actions.append(GroundAction(
-            name=f"act{i}",
-            pre=frozenset(draw(ids)),
-            add=frozenset(add),
-            delete=frozenset(delete),
-            cost=draw(st.integers(1, 4)),
-        ))
-    return GroundedModel(fact_names=fact_names, actions=tuple(actions))
+    actions = tuple(_draw_action(draw, f"act{i}", n_facts) for i in range(n_actions))
+    return GroundedModel(fact_names=fact_names, actions=actions)
 
 
 @settings(max_examples=60, deadline=None)
 @given(models())
 def test_gamma_round_trip(model):
-    rebuilt = model_from_features(gamma(model), model.fact_names, model.action_names)
+    # every fact feature stripped, then all of gamma added back
+    facts = FeatureSet(f for f in gamma(model) if f.kind != COST)
+    rebuilt = apply_features(remove_features(model, facts), gamma(model))
     assert gamma(rebuilt) == gamma(model)
     assert rebuilt == model
+
+
+@st.composite
+def models_and_additions(draw):
+    """A model plus a feature set to add over its universe, costs included.
+
+    No addition makes an action add and delete the same fact.
+    """
+    model = draw(models())
+    adds = []
+    for action in model.actions:
+        for fact in draw(st.sets(st.sampled_from(model.fact_names), max_size=3)):
+            kind = draw(st.sampled_from((PRECONDITION, ADD_EFFECT, DEL_EFFECT)))
+            clash = {ADD_EFFECT: action.delete, DEL_EFFECT: action.add}.get(kind, ())
+            if model.fact_ids[fact] not in clash:
+                adds.append(ModelFeature(action.name, kind, fact))
+        cost = draw(st.none() | st.integers(1, 4))
+        if cost is not None:
+            adds.append(ModelFeature(action.name, COST, cost))
+    return model, FeatureSet(adds)
+
+
+@settings(max_examples=80, deadline=None)
+@given(models_and_additions())
+def test_apply_features_gamma(case):
+    model, adds = case
+    recosted = {f.action: f.payload for f in adds if f.kind == COST}
+    retired = FeatureSet(
+        f for f in gamma(model)
+        if f.kind == COST and f.action in recosted and f.payload != recosted[f.action])
+    assert gamma(apply_features(model, adds)) == (gamma(model) - retired) | adds
+
+
+@st.composite
+def model_pairs(draw):
+    """Two models over one universe; some actions are the same object."""
+    model = draw(models())
+    actions = tuple(
+        a if draw(st.booleans()) else _draw_action(draw, a.name, len(model.fact_names))
+        for a in model.actions)
+    return model, GroundedModel(fact_names=model.fact_names, actions=actions)
+
+
+@settings(max_examples=80, deadline=None)
+@given(model_pairs())
+def test_diff_matches_gamma(pair):
+    mr, mh = pair
+    d = diff(mr, mh)
+    assert d.missing == gamma(mr) - gamma(mh)
+    assert d.extra == gamma(mh) - gamma(mr)
 
 
 @settings(max_examples=60, deadline=None)

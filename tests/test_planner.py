@@ -153,19 +153,21 @@ def test_compiled_cost_never_below_unconstrained(minirover2):
 def test_exists_with_full_robot_plan_prefix(minirover):
     assert exists_optimal_with_prefix(
         minirover.robot_model, minirover.init, minirover.goal,
-        minirover.robot_plan.actions)
+        minirover.robot_plan.actions, minirover.robot_plan)
 
 
 def test_exists_tie_prefix_true(tieworld):
     walk = tieworld.robot_model.action_ids["walk"]
+    optimum = plan_optimal(tieworld.human_model, tieworld.init, tieworld.goal)
     assert exists_optimal_with_prefix(
-        tieworld.human_model, tieworld.init, tieworld.goal, [walk])
+        tieworld.human_model, tieworld.init, tieworld.goal, [walk], optimum)
 
 
 def test_exists_detour_prefix_false(minirover):
     cal = minirover.robot_model.action_ids["calibrate"]
+    optimum = plan_optimal(minirover.human_model, minirover.init, minirover.goal)
     assert not exists_optimal_with_prefix(
-        minirover.human_model, minirover.init, minirover.goal, [cal])
+        minirover.human_model, minirover.init, minirover.goal, [cal], optimum)
 
 
 def test_exists_raises_on_unsolvable_unconstrained(minirover):
@@ -175,7 +177,8 @@ def test_exists_raises_on_unsolvable_unconstrained(minirover):
                       if a.name != "communicate"),
     )
     with pytest.raises(InconsistentTask):
-        exists_optimal_with_prefix(model, minirover.init, minirover.goal, [])
+        exists_optimal_with_prefix(model, minirover.init, minirover.goal, [],
+                                   plan_optimal(model, minirover.init, minirover.goal))
 
 
 def test_all_compiled_optima_start_with_prefix(minirover2):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+from explan import fixture_path, reconcile
+from explan.bench import load_problem
 from explan.errors import ExtraFeatures, NonCanonicalPlan, NonOptimalPlan
 from explan.model import COST, FeatureSet, ModelFeature, apply_features, gamma
 from explan.planner import Plan, plan_optimal
@@ -284,6 +286,28 @@ def test_parts_disjoint_and_within_missing(all_problems):
             assert total == explanation.total_features, name
             for part in explanation.parts:
                 assert 1 <= part.step <= max(len(problem.robot_plan), 1), name
+
+
+def test_generators_share_one_plan_cache(monkeypatch):
+    # a problem built after the patch, so its build's plan counts too
+    models = []
+    real = reconcile.plan_optimal
+
+    def counting(model, init, goal):
+        models.append(model)
+        return real(model, init, goal)
+
+    monkeypatch.setattr(reconcile, "plan_optimal", counting)
+    problem = load_problem(fixture_path("depot-domain.pddl"),
+                           fixture_path("depot-problem.pddl"),
+                           removal_list_path=fixture_path("depot-removals.txt"))
+    mce(problem)
+    verify_online(problem, mce_random(problem, seed=3))
+    for generator in (oeg_pp, oeg_na, oeg_ap):
+        verify_online(problem, generator(problem))
+    # distinct applied sets give distinct models, and vice versa
+    assert len(models) > 2
+    assert len(models) == len(set(models))
 
 
 # -- verification --------------------------------------------------------------------
