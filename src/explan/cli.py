@@ -2,7 +2,8 @@
 
 Subcommands: plan, diff, explain, verify, bench.  Exit codes: 0 success,
 2 parse/config error, 3 invalid reconciliation input, 4 search failure or
-timeout.
+a failed trace verification.  ``bench`` exits 0 once its config loads and
+reports each failed run in the table and as one line on stderr.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from dataclasses import field as dataclass_field
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -24,6 +25,14 @@ _FACT_FIELDS = {PRECONDITION: "pre", ADD_EFFECT: "add", DEL_EFFECT: "delete"}
 _MARKER_RE = re.compile(r"-has-(precondition|add-effect|del-effect|cost)-")
 
 
+def fact_mask(fids: Iterable[int]) -> int:
+    """The bitmask with bit ``f`` set for every fact id ``f`` in ``fids``."""
+    m = 0
+    for f in fids:
+        m |= 1 << f
+    return m
+
+
 @dataclass(frozen=True)
 class GroundAction:
     name: str
@@ -31,12 +40,19 @@ class GroundAction:
     add: frozenset[int]
     delete: frozenset[int]
     cost: int
+    # (pre, add, delete) as fact bitmasks, computed once per action object;
+    # edited models share every action they do not touch, and with it these.
+    # A field, not a cached_property: filling an instance __dict__ after
+    # construction makes every later attribute read on the action slower.
+    masks: tuple[int, int, int] = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.add & self.delete:
             raise ValueError(f"action {self.name!r} adds and deletes the same fact")
         if self.cost < 1:
             raise ValueError(f"action {self.name!r} must have cost >= 1, got {self.cost}")
+        object.__setattr__(self, "masks", (
+            fact_mask(self.pre), fact_mask(self.add), fact_mask(self.delete)))
 
 
 @dataclass(frozen=True)
@@ -51,17 +67,37 @@ class GroundedModel:
     actions: tuple[GroundAction, ...]
 
     def __post_init__(self):
-        nf = len(self.fact_names)
-        if len(set(self.fact_names)) != nf:
+        if len(set(self.fact_names)) != len(self.fact_names):
             raise ValueError("fact names are not unique")
         seen = set()
         for action in self.actions:
             if action.name in seen:
                 raise ValueError(f"duplicate ground action {action.name!r}")
             seen.add(action.name)
+        self._check_fact_ids(self.actions)
+
+    def _check_fact_ids(self, actions: Iterable[GroundAction]) -> None:
+        nf = len(self.fact_names)
+        for action in actions:
             for fid in action.pre | action.add | action.delete:
                 if not (0 <= fid < nf):
                     raise ValueError(f"action {action.name!r} references fact id {fid}")
+
+    def _replacing(self, replaced: dict[int, GroundAction]) -> "GroundedModel":
+        """This model with the actions at the given ids replaced.
+
+        A replacement keeps its action's name, so only the replacements
+        need checking; the fact names and every other action are this
+        model's and were validated when it was built.
+        """
+        actions = list(self.actions)
+        for aid, action in replaced.items():
+            actions[aid] = action
+        model = object.__new__(GroundedModel)
+        object.__setattr__(model, "fact_names", self.fact_names)
+        object.__setattr__(model, "actions", tuple(actions))
+        model._check_fact_ids(replaced.values())
+        return model
 
     @cached_property
     def fact_ids(self) -> dict[str, int]:
@@ -241,13 +277,13 @@ def _edited(model: GroundedModel, features: FeatureSet, combine) -> GroundedMode
         else:
             field = _FACT_FIELDS[f.kind]
             fields[field] = fields.get(field, frozenset()) | {model.fact_ids[f.payload]}
-    actions = list(model.actions)
+    replaced = {}
     for aid, fields in changes.items():
-        action = actions[aid]
+        action = model.actions[aid]
         for field in fields.keys() - {"cost"}:
             fields[field] = combine(getattr(action, field), fields[field])
-        actions[aid] = replace(action, **fields)
-    return GroundedModel(fact_names=model.fact_names, actions=tuple(actions))
+        replaced[aid] = replace(action, **fields)
+    return model._replacing(replaced)
 
 
 def apply_features(model: GroundedModel, adds: FeatureSet) -> GroundedModel:

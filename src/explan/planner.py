@@ -5,6 +5,16 @@ paths the lexicographically smallest action-id sequence wins, which makes
 every planner call reproducible.  With all action costs >= 1 the pair
 (cost, sequence) increases strictly along edges, so per-state dominance on
 that pair is sound and the first goal pop is the canonical optimal plan.
+
+Before searching, ``plan_optimal`` computes the facts reachable from the
+initial state when delete effects are ignored (the delete relaxation; an
+action outside it has h_max = infinity, Bonet & Geffner 2001).  Every state
+the search can reach is a subset of those facts, so an action whose
+preconditions are not all among them is never applicable and is dropped,
+and a goal outside them is unreachable without any search.  The kept
+actions keep their ids and their order, so the (cost, sequence) tie-break
+and therefore every plan are unchanged.  Grounding prunes nothing, so a
+model pair shares one action universe and action ids never shift.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from typing import Sequence
 
 from .errors import InconsistentTask, PrefixNotExecutable
 from .grounding import GroundedTask
-from .model import GroundAction, GroundedModel
+from .model import GroundAction, GroundedModel, fact_mask
 
 
 @dataclass(frozen=True)
@@ -51,15 +61,26 @@ class Invalid:
     step: int
 
 
-def _mask(fids: frozenset[int]) -> int:
-    m = 0
-    for f in fids:
-        m |= 1 << f
-    return m
+def _relaxed_reachable(actions: Sequence[GroundAction], init_m: int) -> int:
+    """Facts reachable from ``init_m`` when delete effects are ignored.
 
-
-def _masks(model: GroundedModel):
-    return [(a.cost, _mask(a.pre), _mask(a.add), _mask(a.delete)) for a in model.actions]
+    Each pass fires every waiting action whose preconditions are all
+    reached, adding its add effects; the fixpoint is reached when a pass
+    fires nothing.
+    """
+    reached = init_m
+    waiting = [a.masks for a in actions]
+    while True:
+        blocked = []
+        for masks in waiting:
+            pre, add, _ = masks
+            if pre & reached == pre:
+                reached |= add
+            else:
+                blocked.append(masks)
+        if len(blocked) == len(waiting):
+            return reached
+        waiting = blocked
 
 
 def plan_optimal(model: GroundedModel, init: frozenset[int], goal: frozenset[int]) -> Plan | None:
@@ -67,11 +88,16 @@ def plan_optimal(model: GroundedModel, init: frozenset[int], goal: frozenset[int
 
     Deterministic: equal-cost goal paths resolve to the lexicographically
     smallest action-id sequence, and successor generation follows action-id
-    order.
+    order.  Only actions whose preconditions are relaxed-reachable from
+    ``init`` are searched (see the module docstring).
     """
-    acts = _masks(model)
-    init_m = _mask(init)
-    goal_m = _mask(goal)
+    init_m = fact_mask(init)
+    goal_m = fact_mask(goal)
+    reached = _relaxed_reachable(model.actions, init_m)
+    if goal_m & reached != goal_m:
+        return None
+    live = [(aid, *a.masks, a.cost) for aid, a in enumerate(model.actions)
+            if a.masks[0] & reached == a.masks[0]]
 
     best: dict[int, tuple[int, tuple[int, ...]]] = {init_m: (0, ())}
     heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), init_m)]
@@ -81,7 +107,7 @@ def plan_optimal(model: GroundedModel, init: frozenset[int], goal: frozenset[int
             continue  # superseded by a better path
         if state & goal_m == goal_m:
             return Plan(actions=seq, cost=g)
-        for aid, (cost, pre, add, dele) in enumerate(acts):
+        for aid, pre, add, dele, cost in live:
             if state & pre == pre:
                 nstate = (state & ~dele) | add
                 key = (g + cost, seq + (aid,))

@@ -239,3 +239,21 @@ def test_cli_bench_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("problem,method")
     assert len(lines) == 1 + 25
+
+
+def test_cli_bench_exits_zero_and_reports_a_failed_entry(tmp_path, capsys):
+    removals = tmp_path / "removals.txt"
+    removals.write_text("take-image-has-precondition-warp\n")
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({
+        "methods": ["mce"],
+        "entries": [{"id": "broken", "domain": _fx("minirover-domain.pddl"),
+                     "problem": _fx("minirover-problem.pddl"),
+                     "remove_features": str(removals)}],
+    }))
+    assert cli_main(["bench", "--config", str(config)]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1].startswith("broken,mce,n/a,")
+    assert err.splitlines() == [
+        "broken/mce: feature 'take-image-has-precondition-warp' "
+        "does not resolve against the model"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from explan.errors import UniverseMismatch, UnknownAction, UnknownFeature
+from explan.errors import UniverseMismatch, UnknownAction, UnknownFact, UnknownFeature
 from explan.model import (
     ADD_EFFECT,
     COST,
@@ -114,6 +114,23 @@ def test_apply_cost_feature_replaces_old(toy):
 def test_apply_unknown_action_rejected(toy):
     with pytest.raises(UnknownAction):
         apply_features(toy, FeatureSet([ModelFeature("fly", COST, 1)]))
+
+
+def test_apply_unknown_fact_rejected(toy):
+    with pytest.raises(UnknownFact):
+        apply_features(toy, FeatureSet([ModelFeature("calibrate", PRECONDITION, "warp")]))
+
+
+def test_model_rejects_duplicate_action_names(toy):
+    with pytest.raises(ValueError, match="duplicate ground action"):
+        GroundedModel(fact_names=toy.fact_names,
+                      actions=toy.actions + (_action("calibrate", add={1}),))
+
+
+def test_model_rejects_out_of_range_fact_id(toy):
+    with pytest.raises(ValueError, match="references fact id 3"):
+        GroundedModel(fact_names=toy.fact_names,
+                      actions=toy.actions + (_action("fly", pre={3}),))
 
 
 def test_remove_features_requires_presence(toy):

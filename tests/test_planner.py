@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -227,3 +228,85 @@ def test_planner_matches_enumeration_on_random_tasks(seed):
         assert found.cost == plan.cost
         assert plan.actions in found.plans
         assert validate(model, init, goal, plan) == plan.cost
+
+
+def static_fact_model(rng: random.Random) -> tuple[GroundedModel, frozenset, frozenset]:
+    """A random task with static facts, dead actions and unreachable goals.
+
+    Facts below ``n_dyn`` are dynamic; no action adds or deletes the others,
+    the static facts.  Some static facts are false in ``init``, so every
+    action that needs one is dead, and a goal may name one of them.
+    """
+    n_dyn = rng.randint(4, 6)
+    n_facts = n_dyn + rng.randint(2, 3)
+    dynamic, static = range(n_dyn), range(n_dyn, n_facts)
+    static_true = set(rng.sample(static, rng.randint(1, len(static) - 1)))
+    actions = []
+    for i in range(rng.randint(6, 10)):
+        add = set(rng.sample(dynamic, rng.randint(1, 2)))
+        delete = set(rng.sample(dynamic, rng.randint(0, 1))) - add
+        pre = set(rng.sample(dynamic, rng.randint(0, 2)))
+        pre |= set(rng.sample(static, rng.randint(0, 1)))
+        actions.append(GroundAction(
+            name=f"a{i:02d}", pre=frozenset(pre), add=frozenset(add),
+            delete=frozenset(delete), cost=rng.randint(1, 2)))
+    init = frozenset(rng.sample(dynamic, rng.randint(0, 1))) | static_true
+    goal = set(rng.sample(dynamic, rng.randint(2, 3)))
+    if rng.random() < 0.3:
+        goal.add(rng.choice(static))
+    model = GroundedModel(fact_names=tuple(f"f{i}" for i in range(n_facts)),
+                          actions=tuple(actions))
+    return model, init, frozenset(goal)
+
+
+def _relaxed_facts(model: GroundedModel, init: frozenset) -> set[int]:
+    reached = set(init)
+    while True:
+        more = set().union(*(a.add for a in model.actions if a.pre <= reached))
+        if more <= reached:
+            return reached
+        reached |= more
+
+
+def test_planner_is_the_least_optimal_plan_with_static_facts():
+    seen = Counter()
+    for seed in range(100):
+        model, init, goal = static_fact_model(random.Random(seed))
+        reached = _relaxed_facts(model, init)
+        seen["dead"] += any(not a.pre <= reached for a in model.actions)
+        seen["goal out of reach"] += not goal <= reached
+        plan = plan_optimal(model, init, goal)
+        found = enumerate_optimal_plans(model, init, goal, max_cost=None)
+        assert isinstance(found, PlanSet)
+        assert (plan is None) == (not found.plans), seed
+        if plan is not None:
+            seen["solved"] += 1
+            assert plan.actions == min(found.plans), seed
+            assert plan.cost == found.cost == validate(model, init, goal, plan)
+    assert min(seen["dead"], seen["goal out of reach"], seen["solved"]) >= 5, seen
+
+
+def test_exists_with_prefix_matches_enumeration_with_static_facts():
+    seen = Counter()
+    for seed in range(100):
+        rng = random.Random(seed)
+        model, init, goal = static_fact_model(rng)
+        optimum = plan_optimal(model, init, goal)
+        if optimum is None:
+            continue
+        plans = enumerate_optimal_plans(model, init, goal, max_cost=optimum.cost).plans
+        for _ in range(4):
+            # a random executable prefix of up to three steps
+            prefix, state = (), set(init)
+            for _ in range(rng.randint(0, 3)):
+                applicable = [aid for aid, a in enumerate(model.actions) if a.pre <= state]
+                if not applicable:
+                    break
+                aid = rng.choice(applicable)
+                prefix += (aid,)
+                state = (state - model.actions[aid].delete) | model.actions[aid].add
+            expected = any(p[: len(prefix)] == prefix for p in plans)
+            seen[expected] += 1
+            assert exists_optimal_with_prefix(
+                model, init, goal, prefix, optimum) == expected, (seed, prefix)
+    assert min(seen[True], seen[False]) >= 10, seen
