@@ -12,9 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -152,10 +151,11 @@ def load_models(
     the robot model.  Blank lines and lines whose first non-blank character
     is ``#`` are skipped.
     """
-    robot_task = load_task(domain_path, problem_path)
+    domain = parse_domain(Path(domain_path).read_text())
+    problem = parse_problem(Path(problem_path).read_text())
+    robot_task = ground(domain, problem)
     if human_domain_path is not None:
         human_domain = parse_domain(Path(human_domain_path).read_text())
-        problem = parse_problem(Path(problem_path).read_text())
         human_task = ground(human_domain, problem)
         robot_task, human_task = align_universes(robot_task, human_task)
         human_model = human_task.model
@@ -254,27 +254,31 @@ def run_entry(entry: SuiteEntry, method: str, seed: int,
         record.error = str(exc)
         return record
 
-    def work() -> tuple[OnlineExplanation, object]:
-        explanation = run_method(problem, method, seed=seed)
-        report = verify_online(problem, explanation)
-        return explanation, report
+    outcome: list = []
 
+    def work() -> None:
+        try:
+            explanation = run_method(problem, method, seed=seed)
+            outcome.append((explanation, verify_online(problem, explanation)))
+        except BaseException as exc:  # handed to the caller below
+            outcome.append(exc)
+
+    # a daemon thread: an op that outlives its limit runs on to its end but
+    # never holds the interpreter open at exit
     start = time.perf_counter()
-    executor = ThreadPoolExecutor(max_workers=1)
-    try:
-        future = executor.submit(work)
-        explanation, report = future.result(timeout=time_limit_s)
-    except FutureTimeout:
-        record.error = f"timeout after {time_limit_s:g}s"
-        record.time_s = time.perf_counter() - start
-        return record
-    except ExplanError as exc:
-        record.error = str(exc)
-        record.time_s = time.perf_counter() - start
-        return record
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    worker.join(time_limit_s)
     record.time_s = time.perf_counter() - start
+    if not outcome:
+        record.error = f"timeout after {time_limit_s:g}s"
+        return record
+    if isinstance(outcome[0], ExplanError):
+        record.error = str(outcome[0])
+        return record
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    explanation, report = outcome[0]
 
     record.total_features = explanation.total_features
     record.num_parts = explanation.num_parts

@@ -95,12 +95,12 @@ def ground(domain: DomainAST, problem: ProblemAST) -> GroundedTask:
     for atom in problem.goal:
         check_ground_atom(atom, "goal")
 
-    # instantiate every schema over all type-correct object combinations
-    ground_atoms: dict[str, None] = {}  # insertion-ordered set of canonical names
+    # instantiate every schema over all type-correct object combinations:
+    # its name and atoms compile once into one format string over the
+    # parameter positions, filled and split for each combination (names are
+    # PDDL identifiers, so none holds a brace or a line break)
+    facts = {_canonical(a) for a in (*problem.init, *problem.goal)}
     raw_actions: list[tuple[str, list[str], list[str], list[str], int]] = []
-
-    def subst(atom: Atom, binding: dict[str, str]) -> str:
-        return _canonical((atom[0], *(binding[a] for a in atom[1:])))
 
     for schema in domain.schemas:
         if schema.cost < 1:
@@ -113,32 +113,31 @@ def ground(domain: DomainAST, problem: ProblemAST) -> GroundedTask:
                 raise UndeclaredSymbol(
                     f"type {typ!r} in action {schema.name!r} is not declared")
             domains.append(objects_by_type[typ])
+        slot = {var: f"{{{i}}}" for i, (var, _) in enumerate(schema.params)}
+        template = "\n".join(
+            _canonical((atom[0], *(slot[a] for a in atom[1:])))
+            for atom in ((schema.name, *slot), *schema.pre, *schema.add, *schema.delete))
+        end_pre = 1 + len(schema.pre)
+        end_add = end_pre + len(schema.add)
         for combo in product(*domains):
-            binding = {var: obj for (var, _), obj in zip(schema.params, combo)}
-            name = _canonical((schema.name, *combo))
-            pre = [subst(a, binding) for a in schema.pre]
-            add = [subst(a, binding) for a in schema.add]
-            delete = [subst(a, binding) for a in schema.delete]
+            filled = template.format(*combo).split("\n")
+            pre, add = filled[1:end_pre], filled[end_pre:end_add]
+            added = set(add)
             # PDDL applies deletes before adds, so adds win on overlap
-            delete = [f for f in delete if f not in set(add)]
-            raw_actions.append((name, pre, add, delete, schema.cost))
-            for f in (*pre, *add, *delete):
-                ground_atoms[f] = None
+            delete = [f for f in filled[end_add:] if f not in added]
+            raw_actions.append((filled[0], pre, add, delete, schema.cost))
+            facts.update(pre, add, delete)
 
-    for atom in problem.init:
-        ground_atoms[_canonical(atom)] = None
-    for atom in problem.goal:
-        ground_atoms[_canonical(atom)] = None
-
-    fact_names = tuple(sorted(ground_atoms))
+    fact_names = tuple(sorted(facts))
     fact_ids = {name: i for i, name in enumerate(fact_names)}
+    fid = fact_ids.__getitem__
 
     actions = tuple(
         GroundAction(
             name=name,
-            pre=frozenset(fact_ids[f] for f in pre),
-            add=frozenset(fact_ids[f] for f in add),
-            delete=frozenset(fact_ids[f] for f in delete),
+            pre=frozenset(map(fid, pre)),
+            add=frozenset(map(fid, add)),
+            delete=frozenset(map(fid, delete)),
             cost=cost,
         )
         for name, pre, add, delete, cost in sorted(raw_actions)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ArityMismatch,
@@ -30,11 +31,11 @@ _REJECTED_HEADS = frozenset({
 
 # -- tokenizer -----------------------------------------------------------------
 
-_ID_RE = re.compile(r"[a-zA-Z0-9_\-?:=][a-zA-Z0-9_\-?:=]*")
+# per line: a comment to its end, a token, or any other non-blank character
+_TOKEN_RE = re.compile(r"(;.*)|([()]|[a-zA-Z0-9_\-?:=]+)|([^ \t\r])")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     value: str
     line: int
 
@@ -42,26 +43,12 @@ class _Token:
 def _tokenize(text: str) -> list[_Token]:
     """Split PDDL text into parens and identifiers; ``;`` starts a comment."""
     tokens: list[_Token] = []
-    i, n, line = 0, len(text), 1
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(_Token(ch, line))
-            i += 1
-        else:
-            m = _ID_RE.match(text, i)
-            if not m:
-                raise PddlSyntaxError("unexpected character", line, text[i])
-            tokens.append(_Token(m.group(0).lower(), line))
-            i = m.end()
+    for line, row in enumerate(text.split("\n"), 1):
+        for _, value, bad in _TOKEN_RE.findall(row):
+            if bad:
+                raise PddlSyntaxError("unexpected character", line, bad)
+            if value:
+                tokens.append(_Token(value.lower(), line))
     return tokens
 
 

@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import explan
 from explan import bench, fixture_path
 from explan.bench import (
     BenchRecord,
@@ -15,6 +22,7 @@ from explan.bench import (
     run_suite,
 )
 from explan.cli import cli_main
+from explan.errors import SearchExhausted
 
 
 def _fx(name: str) -> str:
@@ -124,6 +132,67 @@ def test_timeout_reports_the_configured_limit(monkeypatch):
     finally:
         release.set()
     assert record.error == "timeout after 0.02s"
+
+
+def test_op_errors_map_to_the_record_or_propagate(monkeypatch):
+    entry = SuiteEntry(problem_id="minirover", domain=fixture_path("minirover-domain.pddl"),
+                       problem=fixture_path("minirover-problem.pddl"),
+                       human_domain=fixture_path("minirover-human.pddl"))
+
+    def fail(exc):
+        def run_method(*args, **kwargs):
+            raise exc
+        return run_method
+
+    monkeypatch.setattr(bench, "run_method", fail(SearchExhausted("no plan")))
+    record = run_entry(entry, "mce", seed=0, oracle_checks=False, time_limit_s=5)
+    assert record.error == "no plan"
+    assert record.time_s is not None
+    monkeypatch.setattr(bench, "run_method", fail(RuntimeError("bug")))
+    with pytest.raises(RuntimeError, match="bug"):
+        run_entry(entry, "mce", seed=0, oracle_checks=False, time_limit_s=5)
+
+
+def _run_child(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this checkout's explan."""
+    src = str(Path(explan.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_timed_out_op_does_not_hold_the_process_open():
+    # the stalled op sleeps 3 s; the child prints the clock when run_entry
+    # returns, and its exit must not wait for the op to end
+    done = _run_child("""
+        import time
+        from explan import bench, fixture_path
+
+        bench.run_method = lambda *args, **kwargs: time.sleep(3)
+        entry = bench.SuiteEntry(
+            problem_id="minirover", domain=fixture_path("minirover-domain.pddl"),
+            problem=fixture_path("minirover-problem.pddl"),
+            human_domain=fixture_path("minirover-human.pddl"))
+        record = bench.run_entry(entry, "mce", seed=0, oracle_checks=False,
+                                 time_limit_s=0.05)
+        print(record.error)
+        print(time.monotonic(), flush=True)
+    """)
+    exited = time.monotonic()
+    error, returned = done.stdout.splitlines()
+    assert done.returncode == 0, done.stderr
+    assert error == "timeout after 0.05s"
+    assert exited - float(returned) < 1.5
+
+
+def test_import_does_not_load_concurrent_futures():
+    done = _run_child("""
+        import sys
+        import explan, explan.bench, explan.reconcile
+        print("concurrent.futures" in sys.modules)
+    """)
+    assert done.stdout == "False\n", done.stderr
 
 
 # -- command line ---------------------------------------------------------------

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import re
+from itertools import product
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from explan import fixture_path
 from explan.errors import (
@@ -13,6 +18,7 @@ from explan.errors import (
 )
 from explan.grounding import ground
 from explan.pddl import (
+    _tokenize,
     domain_to_pddl,
     parse_domain,
     parse_problem,
@@ -126,6 +132,75 @@ def test_syntax_error_carries_position():
     assert "line" in str(err.value)
 
 
+# -- tokenizer -------------------------------------------------------------------
+
+_REFERENCE_ID_RE = re.compile(r"[a-zA-Z0-9_\-?:=][a-zA-Z0-9_\-?:=]*")
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, int]]:
+    """The per-character tokenizer the regex scan replaced, kept as the reference."""
+    tokens = []
+    i, n, line = 0, len(text), 1
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            i += 1
+        elif ch in " \t\r":
+            i += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            tokens.append((ch, line))
+            i += 1
+        else:
+            m = _REFERENCE_ID_RE.match(text, i)
+            if not m:
+                raise PddlSyntaxError("unexpected character", line, text[i])
+            tokens.append((m.group(0).lower(), line))
+            i = m.end()
+    return tokens
+
+
+def _tokens_or_error(tokenize, text: str):
+    try:
+        return [(value, line) for value, line in tokenize(text)]
+    except PddlSyntaxError as exc:
+        return ("error", exc.line, exc.token)
+
+
+_LEGAL_PIECES = [
+    "a", "Z", "9", "_", "-", "?", ":", "=", "(", ")", " ", "\t", "\n", "\r\n",
+    ";", "; c (x) é", "?Var-1", ":Action", "(and", "))",
+    "(define (domain D)\n", "  (:action Move :parameters (?x - t))\r\n",
+]
+
+
+@st.composite
+def _pddl_text(draw) -> str:
+    """Legal pieces with up to two illegal characters inserted anywhere."""
+    pieces = draw(st.lists(st.sampled_from(_LEGAL_PIECES), max_size=60))
+    for bad in draw(st.lists(st.sampled_from(["\f", '"', "é"]), max_size=2)):
+        pieces.insert(draw(st.integers(0, len(pieces))), bad)
+    return "".join(pieces)
+
+
+@given(_pddl_text())
+@settings(max_examples=300, deadline=None)
+@example("(a\n  b é)")
+@example("; é\r\n(:A \f")
+def test_tokenizer_matches_per_character_reference(text):
+    assert _tokens_or_error(_tokenize, text) == \
+        _tokens_or_error(_reference_tokenize, text)
+
+
+def test_tokenizer_error_names_line_and_character():
+    with pytest.raises(PddlSyntaxError) as err:
+        _tokenize("(define ; é is fine in a comment\r\n  (domain \"d\"))")
+    assert (err.value.line, err.value.token) == (2, '"')
+
+
 # -- grounding -------------------------------------------------------------------
 
 
@@ -180,6 +255,75 @@ def test_grounding_substitution_soundness():
         # deletes may lose overlap with adds (delete-then-add semantics)
         assert {task.fact_names[i] for i in action.delete} == \
             atoms(schema.delete) - atoms(schema.add)
+
+
+def _direct_grounding(dom, prob) -> dict[str, tuple[set, set, set]]:
+    """Every ground action by name, substituted directly from its schema."""
+    parent = dict(dom.types)
+
+    def is_a(typ: str, want: str) -> bool:
+        while typ != want and typ in parent:
+            typ = parent[typ]
+        return typ == want
+
+    out = {}
+    for schema in dom.schemas:
+        domains = [sorted(o for o, t in prob.objects if is_a(t, typ))
+                   for _, typ in schema.params]
+        for combo in product(*domains):
+            binding = dict(zip((v for v, _ in schema.params), combo))
+
+            def atoms(group):
+                return {" ".join((a[0], *(binding[x] for x in a[1:]))) for a in group}
+
+            add = atoms(schema.add)
+            out[" ".join((schema.name, *combo))] = (
+                atoms(schema.pre), add, atoms(schema.delete) - add)
+    return out
+
+
+OVERLAP_DOMAIN = """
+(define (domain overlap)
+  (:requirements :strips :typing)
+  (:types spot)
+  (:predicates (at ?s - spot))
+  (:action move
+    :parameters (?from ?to - spot)
+    :precondition (at ?from)
+    :effect (and (not (at ?from)) (at ?to))))
+"""
+
+OVERLAP_PROBLEM = """
+(define (problem hop) (:domain overlap)
+  (:objects b a - spot) (:init (at a)) (:goal (at b)))
+"""
+
+
+def _fixture_pairs():
+    files = {p.name: p.read_text() for p in sorted(fixture_path("").glob("*.pddl"))}
+    domains = {n: parse_domain(t) for n, t in files.items() if "(problem" not in t}
+    problems = {n: parse_problem(t) for n, t in files.items() if "(problem" in t}
+    pairs = [pytest.param(d, p, id=f"{dn}+{pn}")
+             for dn, d in domains.items() for pn, p in problems.items()
+             if p.domain_name == d.name]
+    assert len(pairs) == 9  # every fixture problem, human domains included
+    return pairs + [pytest.param(parse_domain(OVERLAP_DOMAIN),
+                                 parse_problem(OVERLAP_PROBLEM), id="overlap")]
+
+
+@pytest.mark.parametrize("dom, prob", _fixture_pairs())
+def test_grounding_matches_direct_substitution(dom, prob):
+    task = ground(dom, prob)
+    expected = _direct_grounding(dom, prob)
+    assert task.action_names == tuple(sorted(expected))
+    for action in task.model.actions:
+        got = tuple({task.fact_names[i] for i in fids}
+                    for fids in (action.pre, action.add, action.delete))
+        assert got == expected[action.name]
+    facts = {" ".join(a) for a in (*prob.init, *prob.goal)}
+    for group in expected.values():
+        facts.update(*group)
+    assert task.fact_names == tuple(sorted(facts))
 
 
 def test_type_mismatch_in_init_rejected():
