@@ -250,7 +250,7 @@ def run_entry(entry: SuiteEntry, method: str, seed: int,
             human_domain_path=entry.human_domain,
             removal_list_path=entry.remove_features,
         )
-    except ExplanError as exc:
+    except (ExplanError, OSError) as exc:  # an unreadable entry file too
         record.error = str(exc)
         return record
 

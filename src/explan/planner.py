@@ -5,6 +5,15 @@ paths the lexicographically smallest action-id sequence wins, which makes
 every planner call reproducible.  With all action costs >= 1 the pair
 (cost, sequence) increases strictly along edges, so per-state dominance on
 that pair is sound and the first goal pop is the canonical optimal plan.
+The search holds each sequence as ``bytes``: every action id is encoded
+big-endian in the same fixed width, the bytes the model's largest id needs.
+With one width and the most significant byte first, comparing two such
+strings byte by byte compares the id sequences element by element, and a
+proper prefix still sorts first, so the order, the tie-break and every plan
+are those of id tuples.  A bytes path is extended and compared in native
+code, and heap and dominance entries of ints and bytes hold nothing the
+cyclic garbage collector has to walk; the id tuple is decoded once, at the
+goal.
 
 Before searching, ``plan_optimal`` computes the facts reachable from the
 initial state when delete effects are ignored (the delete relaxation; an
@@ -83,34 +92,54 @@ def _relaxed_reachable(actions: Sequence[GroundAction], init_m: int) -> int:
         waiting = blocked
 
 
+def _id_width(n_actions: int) -> int:
+    """Bytes per encoded action id: what the largest id needs, at least one."""
+    return max(1, ((n_actions - 1).bit_length() + 7) // 8)
+
+
+def _encode_id(aid: int, width: int) -> bytes:
+    return aid.to_bytes(width, "big")
+
+
+def _decode_ids(seq: bytes, width: int) -> tuple[int, ...]:
+    if width == 1:
+        return tuple(seq)
+    return tuple(int.from_bytes(seq[i:i + width], "big")
+                 for i in range(0, len(seq), width))
+
+
 def plan_optimal(model: GroundedModel, init: frozenset[int], goal: frozenset[int]) -> Plan | None:
     """Minimum-cost plan from ``init`` to ``goal``, or None if unreachable.
 
     Deterministic: equal-cost goal paths resolve to the lexicographically
     smallest action-id sequence, and successor generation follows action-id
     order.  Only actions whose preconditions are relaxed-reachable from
-    ``init`` are searched (see the module docstring).
+    ``init`` are searched.  Paths are held as fixed-width big-endian id
+    bytes, whose order is the id sequences' order (see the module
+    docstring).
     """
     init_m = fact_mask(init)
     goal_m = fact_mask(goal)
     reached = _relaxed_reachable(model.actions, init_m)
     if goal_m & reached != goal_m:
         return None
-    live = [(aid, *a.masks, a.cost) for aid, a in enumerate(model.actions)
+    width = _id_width(len(model.actions))
+    live = [(_encode_id(aid, width), *a.masks, a.cost)
+            for aid, a in enumerate(model.actions)
             if a.masks[0] & reached == a.masks[0]]
 
-    best: dict[int, tuple[int, tuple[int, ...]]] = {init_m: (0, ())}
-    heap: list[tuple[int, tuple[int, ...], int]] = [(0, (), init_m)]
+    best: dict[int, tuple[int, bytes]] = {init_m: (0, b"")}
+    heap: list[tuple[int, bytes, int]] = [(0, b"", init_m)]
     while heap:
         g, seq, state = heappop(heap)
         if best.get(state) != (g, seq):
             continue  # superseded by a better path
         if state & goal_m == goal_m:
-            return Plan(actions=seq, cost=g)
-        for aid, pre, add, dele, cost in live:
+            return Plan(actions=_decode_ids(seq, width), cost=g)
+        for code, pre, add, dele, cost in live:
             if state & pre == pre:
                 nstate = (state & ~dele) | add
-                key = (g + cost, seq + (aid,))
+                key = (g + cost, seq + code)
                 cur = best.get(nstate)
                 if cur is None or key < cur:
                     best[nstate] = key

@@ -326,3 +326,27 @@ def test_cli_bench_exits_zero_and_reports_a_failed_entry(tmp_path, capsys):
     assert err.splitlines() == [
         "broken/mce: feature 'take-image-has-precondition-warp' "
         "does not resolve against the model"]
+
+
+def test_cli_bench_keeps_going_past_an_unreadable_entry(tmp_path, capsys):
+    missing = tmp_path / "no-such-domain.pddl"
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({
+        "methods": ["mce"],
+        "entries": [
+            {"id": "good", "domain": _fx("minirover-domain.pddl"),
+             "problem": _fx("minirover-problem.pddl"),
+             "human_domain": _fx("minirover-human.pddl")},
+            {"id": "missing", "domain": str(missing),
+             "problem": _fx("minirover-problem.pddl"),
+             "human_domain": _fx("minirover-human.pddl")},
+        ],
+    }))
+    assert cli_main(["bench", "--config", str(config)]) == 0
+    out, err = capsys.readouterr()
+    rows = out.splitlines()[1:]
+    assert len(rows) == 2
+    assert rows[0].startswith("good,mce,") and "n/a" not in rows[0]
+    assert rows[1].startswith("missing,mce,n/a,")
+    assert err.splitlines() == [
+        f"missing/mce: [Errno 2] No such file or directory: '{missing}'"]

@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from explan.errors import InconsistentTask, PrefixNotExecutable
 from explan.grounding import GroundedTask
@@ -12,6 +14,9 @@ from explan.oracle import PlanSet, enumerate_optimal_plans
 from explan.planner import (
     Invalid,
     Plan,
+    _decode_ids,
+    _encode_id,
+    _id_width,
     compile_prefix,
     exists_optimal_with_prefix,
     first_diff,
@@ -310,3 +315,89 @@ def test_exists_with_prefix_matches_enumeration_with_static_facts():
             assert exists_optimal_with_prefix(
                 model, init, goal, prefix, optimum) == expected, (seed, prefix)
     assert min(seen[True], seen[False]) >= 10, seen
+
+
+# -- action ids held as bytes ------------------------------------------------------
+
+
+@st.composite
+def _id_sequences(draw):
+    n = draw(st.sampled_from([1, 255, 256, 257, 65_536, 65_537]))
+    edges = [i for i in (0, 255, 256, 65_535, 65_536) if i < n] + [n - 1]
+    ids = st.lists(st.one_of(st.integers(0, n - 1), st.sampled_from(edges)),
+                   max_size=6)
+    return n, draw(ids), draw(ids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_id_sequences())
+def test_id_bytes_order_is_id_sequence_order(case):
+    n, a, b = case
+    width = _id_width(n)
+    assert width == {1: 1, 255: 1, 256: 1, 257: 2, 65_536: 2, 65_537: 3}[n]
+    code_a = b"".join(_encode_id(aid, width) for aid in a)
+    code_b = b"".join(_encode_id(aid, width) for aid in b)
+    assert (code_a < code_b) == (a < b)
+    assert (code_a == code_b) == (a == b)
+    assert _decode_ids(code_a, width) == tuple(a)
+
+
+def wide_model(rng: random.Random, n_actions: int, achievers: dict[int, int]):
+    """A task of ``n_actions`` actions that mostly pad out the id range.
+
+    ``achievers`` maps an action id to the goal fact (0 or 1) it adds at
+    cost 1 with no precondition, so every optimal plan is two achievers.
+    Every other action is random over four padding facts, which no goal
+    needs, or dead: it needs fact 6, which nothing adds.
+    """
+    pad = range(2, 6)
+    actions = []
+    for aid in range(n_actions):
+        if aid in achievers:
+            pre, add, delete, cost = set(), {achievers[aid]}, set(), 1
+        else:
+            pre = set(rng.sample(pad, rng.randint(0, 1)))
+            if rng.random() < 0.8:
+                pre.add(6)
+            add = set(rng.sample(pad, rng.randint(1, 2)))
+            delete = set(rng.sample(pad, rng.randint(0, 1))) - add
+            cost = rng.randint(1, 2)
+        actions.append(GroundAction(
+            name=f"a{aid:03d}", pre=frozenset(pre), add=frozenset(add),
+            delete=frozenset(delete), cost=cost))
+    model = GroundedModel(fact_names=tuple(f"f{i}" for i in range(7)),
+                          actions=tuple(actions))
+    return model, frozenset(), frozenset({0, 1})
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_least_optimal_plan_across_the_one_byte_id_boundary(seed):
+    # the eight optimal plans pair 10 or 300 with 255 or 256, in either
+    # order, so they first differ at ids on both sides of the one-byte
+    # boundary; only fixed-width big-endian codes order them as ids
+    model, init, goal = wide_model(random.Random(seed), 301,
+                                   {10: 1, 255: 0, 256: 0, 300: 1})
+    plans = enumerate_optimal_plans(model, init, goal, max_cost=2)
+    assert isinstance(plans, PlanSet) and len(plans.plans) == 8
+    plan = plan_optimal(model, init, goal)
+    assert plan.actions == min(plans.plans) == (10, 255)
+    assert plan.cost == 2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exists_with_prefix_matches_enumeration_across_id_widths(seed):
+    # 256 base actions fit one byte each; any forced copy takes the
+    # compiled model past 256 actions, into two-byte ids
+    rng = random.Random(seed)
+    model, init, goal = wide_model(rng, 256, {3: 1, 200: 0, 254: 0, 255: 1})
+    optimum = plan_optimal(model, init, goal)
+    plans = enumerate_optimal_plans(model, init, goal, max_cost=optimum.cost).plans
+    free = [aid for aid, a in enumerate(model.actions) if not a.pre]
+    seen = Counter()
+    for plan in sorted(plans):
+        for prefix in (plan[:1], plan, (plan[0], rng.choice(free))):
+            expected = any(p[: len(prefix)] == prefix for p in plans)
+            seen[expected] += 1
+            assert exists_optimal_with_prefix(
+                model, init, goal, prefix, optimum) == expected, prefix
+    assert min(seen[True], seen[False]) >= 4, seen
