@@ -125,6 +125,8 @@ class ModelFeature:
     action: str
     kind: str
     payload: str | int  # fact name, or the cost value for kind == COST
+    # the canonical name, built once: feature sets sort and match by it
+    name: str = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -133,10 +135,7 @@ class ModelFeature:
             raise ValueError("cost feature payload must be an integer")
         if self.kind != COST and not isinstance(self.payload, str):
             raise ValueError("fact feature payload must be a fact name")
-
-    @property
-    def name(self) -> str:
-        return f"{self.action}-has-{self.kind}-{self.payload}"
+        object.__setattr__(self, "name", f"{self.action}-has-{self.kind}-{self.payload}")
 
     def __str__(self) -> str:
         return self.name
@@ -165,7 +164,7 @@ def parse_feature_name(name: str, model: GroundedModel) -> ModelFeature:
 class FeatureSet:
     """An immutable set of features, iterated in canonical name order."""
 
-    __slots__ = ("_feats", "_names")
+    __slots__ = ("_feats", "_names", "_hash")
 
     def __init__(self, features: Iterable[ModelFeature] = ()):
         feats = sorted(set(features), key=lambda f: f.name)
@@ -177,6 +176,8 @@ class FeatureSet:
                 costs_seen.add(f.action)
         object.__setattr__(self, "_feats", tuple(feats))
         object.__setattr__(self, "_names", frozenset(f.name for f in feats))
+        # every memo lookup hashes its key; equal sets have equal names
+        object.__setattr__(self, "_hash", hash(self._names))
 
     def __iter__(self) -> Iterator[ModelFeature]:
         return iter(self._feats)
@@ -194,7 +195,7 @@ class FeatureSet:
         return isinstance(other, FeatureSet) and self._feats == other._feats
 
     def __hash__(self) -> int:
-        return hash(self._feats)
+        return self._hash
 
     def __or__(self, other: "FeatureSet") -> "FeatureSet":
         return FeatureSet((*self._feats, *other._feats))

@@ -130,8 +130,7 @@ def _is_complete(problem: "ReconciliationProblem", delta: FeatureSet) -> bool:
     return found.cost == plan_cost
 
 
-def min_complete_subsets(problem: "ReconciliationProblem",
-                         size_bound: int | None = None) -> list[FeatureSet]:
+def min_complete_subsets(problem: "ReconciliationProblem") -> list[FeatureSet]:
     """All minimum-cardinality complete feature subsets, by direct enumeration.
 
     Complete means: after adding the subset to the human model, the robot's
@@ -141,8 +140,7 @@ def min_complete_subsets(problem: "ReconciliationProblem",
     if len(missing) > 20:
         raise GuardExceeded(f"feature diff has {len(missing)} entries; limit is 20")
     feats = tuple(missing)
-    bound = len(feats) if size_bound is None else min(size_bound, len(feats))
-    for k in range(bound + 1):
+    for k in range(len(feats) + 1):
         hits = [FeatureSet(combo) for combo in combinations(feats, k)
                 if _is_complete(problem, FeatureSet(combo))]
         if hits:
@@ -150,8 +148,7 @@ def min_complete_subsets(problem: "ReconciliationProblem",
     return []
 
 
-def optimal_plans_of(problem: "ReconciliationProblem", extra: FeatureSet,
-                     max_count: int = 100_000) -> PlanSet | Overflow:
+def optimal_plans_of(problem: "ReconciliationProblem", extra: FeatureSet) -> PlanSet | Overflow:
     """Optimal plans of the human model after adding ``extra`` features.
 
     When the robot plan still validates under the updated model its cost
@@ -161,4 +158,4 @@ def optimal_plans_of(problem: "ReconciliationProblem", extra: FeatureSet,
     reference = _simulate_cost(updated, problem.init, problem.goal,
                                problem.robot_plan.actions)
     return enumerate_optimal_plans(updated, problem.init, problem.goal,
-                                   max_cost=reference, max_count=max_count)
+                                   max_cost=reference)

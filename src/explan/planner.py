@@ -193,6 +193,15 @@ def matches_through(reference: Plan, candidate: Plan | None, step: int) -> bool:
     return d is None or d > step
 
 
+def matches_at(reference: Plan, candidate: Plan | None, step: int) -> bool:
+    """True if ``candidate`` executes ``reference``'s action at 1-indexed ``step``.
+
+    False past the end of either plan.
+    """
+    return (candidate is not None and step <= len(reference.actions)
+            and candidate.actions[step - 1:step] == reference.actions[step - 1:step])
+
+
 def plan_distance(p_h: Plan, p_star: Plan) -> float:
     """Action-multiset dissimilarity in [0, 1]; 0 means identical plans."""
     if p_h.actions == p_star.actions:

@@ -13,8 +13,14 @@ consistency contracts:
 * any-prefix (``oeg_ap``): some optimal plan of the human model must carry
   the executed prefix, dropping the unique-optimum assumption.
 
-All subset searches go breadth-first by cardinality and lexicographically
-within a level, so results are deterministic.
+Every search is one subset walk (``_walk``): breadth-first by cardinality
+and lexicographically within a level, so results are deterministic.  Each
+generator tests the current model once per step and walks only when that
+fails; ``mce`` is the same search with completeness as the condition.
+Each condition has one home, shared with ``verify_online``: prefix
+preservation is ``planner.matches_through``, the next action
+``planner.matches_at``, any-prefix ``ReconciliationProblem.prefix_ok`` and
+completeness ``ReconciliationProblem.complete``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import (
     ExtraFeatures,
@@ -46,6 +52,7 @@ from .planner import (
     Plan,
     exists_optimal_with_prefix,
     first_diff,
+    matches_at,
     matches_through,
     plan_distance,
     plan_optimal,
@@ -160,6 +167,17 @@ class ReconciliationProblem:
                 self._prefix_ok[key] = False
         return self._prefix_ok[key]
 
+    def complete(self, applied: FeatureSet) -> bool:
+        """Whether the robot plan is optimal for ``model(applied)``.
+
+        The model is planned for only when the robot plan validates in it.
+        """
+        cost = validate(self.model(applied), self.init, self.goal, self.robot_plan)
+        if isinstance(cost, Invalid):
+            return False
+        optimal = self.plan(applied)
+        return optimal is not None and optimal.cost == cost
+
 
 @dataclass(frozen=True)
 class SubExplanation:
@@ -234,12 +252,22 @@ class OnlineExplanation:
         return doc
 
 
-def _subsets(features: FeatureSet, include_empty: bool = False) -> Iterator[FeatureSet]:
-    """Subsets in (cardinality, lexicographic) order; the determinism contract."""
-    feats = tuple(features)
-    for k in range(0 if include_empty else 1, len(feats) + 1):
-        for combo in combinations(feats, k):
-            yield FeatureSet(combo)
+def _walk(problem: ReconciliationProblem, applied: FeatureSet,
+          holds: Callable[[FeatureSet], bool]) -> Iterator[tuple[FeatureSet, FeatureSet]]:
+    """The subset walk: each fix ``e`` with ``holds(applied | e)``, as ``(e, applied | e)``.
+
+    ``e`` ranges over the nonempty subsets of the features not yet applied
+    in (cardinality, lexicographic) order, the determinism contract, so the
+    first fix yielded is the smallest.  Each candidate ``applied | e`` is
+    built once; testing ``applied`` itself is the caller's job.
+    """
+    base = tuple(applied)
+    rest = [f for f in problem.missing if f not in applied]
+    for k in range(1, len(rest) + 1):
+        for combo in combinations(rest, k):
+            candidate = FeatureSet((*base, *combo))
+            if holds(candidate):
+                yield FeatureSet(combo), candidate
 
 
 def _require_canonical(problem: ReconciliationProblem) -> None:
@@ -263,18 +291,13 @@ def _divergence(pstar: Plan, human: Plan | None) -> int | None:
 def mce(problem: ReconciliationProblem) -> FeatureSet:
     """Minimum-cardinality feature set making the robot plan optimal for the human.
 
-    Subsets are tried breadth-first by size, lexicographically within a size,
-    and the first complete one wins.
+    The empty set first, then the subset walk: the first complete set wins.
     """
-    pstar = problem.robot_plan
-    for delta in _subsets(problem.missing, include_empty=True):
-        updated = problem.model(delta)
-        cost = validate(updated, problem.init, problem.goal, pstar)
-        if isinstance(cost, Invalid):
-            continue
-        optimal = problem.plan(delta)
-        if optimal is not None and optimal.cost == cost:
-            return delta
+    empty = FeatureSet()
+    if problem.complete(empty):
+        return empty
+    for delta, _ in _walk(problem, empty, problem.complete):
+        return delta
     raise NotReconcilable(
         "even the full feature diff is not a complete explanation; "
         "this cannot happen for a valid reconciliation problem")
@@ -365,28 +388,26 @@ def _pp_approx(problem: ReconciliationProblem) -> tuple[list[SubExplanation], bo
     horizon = len(pstar)
 
     def frame_for(applied: FeatureSet, parts: list[SubExplanation]):
-        plan = problem.plan(applied)
-        d = _divergence(pstar, plan)
-        return None if d is None else (iter(_subsets(missing - applied)), applied, parts, d)
+        d = _divergence(pstar, problem.plan(applied))
+        if d is None:
+            return None
+        fixes = _walk(problem, applied, lambda c: matches_through(pstar, problem.plan(c), d))
+        return fixes, parts, d
 
     top = frame_for(FeatureSet(), [])
     if top is None:
         return [], False
-    first_divergence = top[3]
+    first_divergence = top[2]
     stack = [top]
     while stack:
-        candidates, applied, parts, d = stack[-1]
-        chosen: FeatureSet | None = None
-        for e in candidates:
-            if matches_through(pstar, problem.plan(applied | e), d):
-                chosen = e
-                break
-        if chosen is None:
+        fixes, parts, d = stack[-1]
+        fix = next(fixes, None)
+        if fix is None:
             stack.pop()  # exhausted; resume the previous step's candidates
             continue
-        next_applied = applied | chosen
+        chosen, applied = fix
         next_parts = _append_part(parts, chosen, min(d, horizon))
-        frame = frame_for(next_applied, next_parts)
+        frame = frame_for(applied, next_parts)
         if frame is None:
             return next_parts, False
         stack.append(frame)
@@ -398,30 +419,24 @@ def _pp_approx(problem: ReconciliationProblem) -> tuple[list[SubExplanation], bo
 
 
 def _pp_exact(problem: ReconciliationProblem) -> list[SubExplanation]:
-    pstar, missing = problem.robot_plan, problem.missing
+    pstar = problem.robot_plan
     horizon = len(pstar)
     applied = FeatureSet()
     parts: list[SubExplanation] = []
-    while True:
-        d = _divergence(pstar, problem.plan(applied))
-        if d is None:
-            return parts
-        remaining = missing - applied
-        for e in _subsets(remaining):
-            holdout = remaining - e
+    while (d := _divergence(pstar, problem.plan(applied))) is not None:
+        def keeps(c: FeatureSet) -> bool:
+            return matches_through(pstar, problem.plan(c), d)
+
+        def survives(c: FeatureSet) -> bool:
             # the prefix must survive under every model reachable by the
-            # remaining explanations, i.e. the robot model minus any subset
-            # of the holdout
-            if all(
-                matches_through(pstar, problem.plan(missing - FeatureSet(s)), d)
-                for k in range(len(holdout) + 1)
-                for s in combinations(tuple(holdout), k)
-            ):
-                applied = applied | e
-                parts = _append_part(parts, e, min(d, horizon))
-                break
-        else:  # pragma: no cover - the full remainder always qualifies
-            raise AssertionError("exact search found no candidate")
+            # remaining explanations: c plus any subset of the holdout
+            return keeps(c) and next(_walk(problem, c, lambda u: not keeps(u)), None) is None
+
+        fix = next(_walk(problem, applied, survives), None)
+        assert fix is not None, "the full remainder always qualifies"
+        e, applied = fix
+        parts = _append_part(parts, e, min(d, horizon))
+    return parts
 
 
 def oeg_na(problem: ReconciliationProblem) -> OnlineExplanation:
@@ -435,27 +450,21 @@ def oeg_na(problem: ReconciliationProblem) -> OnlineExplanation:
     """
     _require_canonical(problem)
     pstar = problem.robot_plan
-    missing = problem.missing
 
     applied = FeatureSet()
     parts: list[SubExplanation] = []
     unfixable: list[int] = []
     plan = problem.plan(applied)
     for t in range(1, len(pstar) + 1):
-        want = pstar.action_at(t)
-        have = plan.action_at(t) if plan is not None and t <= len(plan) else None
-        if have == want:
+        if matches_at(pstar, plan, t):
             continue
-        for e in _subsets(missing - applied):
-            candidate = problem.plan(applied | e)
-            if candidate is not None and t <= len(candidate) \
-                    and candidate.action_at(t) == want:
-                applied = applied | e
-                plan = candidate
-                parts.append(SubExplanation(features=e, step=t))
-                break
-        else:
+        fix = next(_walk(problem, applied, lambda c: matches_at(pstar, problem.plan(c), t)), None)
+        if fix is None:
             unfixable.append(t)
+            continue
+        e, applied = fix
+        plan = problem.plan(applied)
+        parts.append(SubExplanation(features=e, step=t))
     return OnlineExplanation(variant=VARIANT_NA, parts=tuple(parts),
                              unfixable_steps=tuple(unfixable))
 
@@ -469,23 +478,17 @@ def oeg_ap(problem: ReconciliationProblem) -> OnlineExplanation:
     plan need not be the canonical planner output.
     """
     pstar = problem.robot_plan
-    missing = problem.missing
 
     applied = FeatureSet()
     parts: list[SubExplanation] = []
-    t = 1
-    while t <= len(pstar):
+    for t in range(1, len(pstar) + 1):
         if problem.prefix_ok(applied, t):
-            t += 1
             continue
-        for e in _subsets(missing - applied):
-            if problem.prefix_ok(applied | e, t):
-                applied = applied | e
-                parts.append(SubExplanation(features=e, step=t))
-                break
-        else:  # pragma: no cover - the full remainder restores the robot model
+        fix = next(_walk(problem, applied, lambda c: problem.prefix_ok(c, t)), None)
+        if fix is None:  # pragma: no cover - the full remainder restores the robot model
             raise SearchExhausted(f"no feature subset restores the prefix at step {t}")
-    assert problem.prefix_ok(applied, len(pstar))
+        e, applied = fix
+        parts.append(SubExplanation(features=e, step=t))
     return OnlineExplanation(variant=VARIANT_AP, parts=tuple(parts))
 
 
@@ -527,15 +530,6 @@ class VerificationReport:
         }
 
 
-def _segment_equal(pstar: Plan, plan: Plan | None, lo: int, hi: int) -> bool:
-    """Pointwise equality on 1-indexed positions lo..hi inclusive."""
-    if lo > hi:
-        return True
-    if plan is None or len(plan) < hi:
-        return False
-    return all(plan.action_at(t) == pstar.action_at(t) for t in range(lo, hi + 1))
-
-
 def verify_online(problem: ReconciliationProblem,
                   explanation: OnlineExplanation) -> VerificationReport:
     """Replay an explanation and check its variant's defining condition.
@@ -564,7 +558,7 @@ def verify_online(problem: ReconciliationProblem,
         if variant == VARIANT_PP:
             holds = matches_through(pstar, before, part.step - 1)
         elif variant == VARIANT_NA:
-            holds = _segment_equal(pstar, before, prev_step, part.step - 1)
+            holds = all(matches_at(pstar, before, t) for t in range(prev_step, part.step))
         elif variant == VARIANT_AP:
             holds = problem.prefix_ok(applied, part.step - 1)
         else:
@@ -572,10 +566,7 @@ def verify_online(problem: ReconciliationProblem,
         checks.append(StepCheck(index=k, step=part.step, holds=holds, witness=witness))
         applied = applied | part.features
         if variant == VARIANT_NA:
-            after = problem.plan(applied)
-            na_triggers.append(
-                after is not None and part.step <= len(after)
-                and after.action_at(part.step) == pstar.action_at(part.step))
+            na_triggers.append(matches_at(pstar, problem.plan(applied), part.step))
             prev_step = part.step
     final_plan = problem.plan(applied)
 
@@ -586,9 +577,7 @@ def verify_online(problem: ReconciliationProblem,
     elif variant == VARIANT_AP:
         final_check = problem.prefix_ok(applied, len(pstar))
     else:
-        cost = validate(problem.model(applied), problem.init, problem.goal, pstar)
-        final_check = (not isinstance(cost, Invalid)
-                       and final_plan is not None and cost == final_plan.cost)
+        final_check = problem.complete(applied)
 
     if final_plan is None:
         distance = 1.0

@@ -275,6 +275,31 @@ def test_cli_trace_verify_round_trip(tmp_path, capsys):
     assert doc["verified"] is True
 
 
+def test_cli_verify_next_action_part_past_the_plan_end_exits_four(tmp_path, capsys):
+    # the human expects a two-action plan, the robot's has one action; a
+    # next-action part at step 3 is a failed check (exit 4), not a crash
+    domain = tmp_path / "domain.pddl"
+    domain.write_text(textwrap.dedent("""\
+        (define (domain extend)
+          (:requirements :strips)
+          (:predicates (g) (p))
+          (:action all-in-one :parameters () :precondition (and) :effect (and (g) (p)))
+          (:action topper :parameters () :precondition (p) :effect (g)))
+        """))
+    problem = tmp_path / "problem.pddl"
+    problem.write_text("(define (problem extend-1) (:domain extend) (:init) (:goal (g)))\n")
+    removals = tmp_path / "removals.txt"
+    removals.write_text("all-in-one-has-add-effect-g\n")
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"variant": "oeg-na", "parts": [
+        {"step": 3, "features": ["all-in-one-has-add-effect-g"]}]}))
+    code = cli_main(["verify", "--trace", str(trace), "--domain", str(domain),
+                     "--problem", str(problem), "--remove-features", str(removals)])
+    assert code == 4
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verified"] is False and doc["per_step"][0]["holds"] is False
+
+
 def test_cli_plan_file_only_for_any_prefix(tmp_path):
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({"actions": ["walk"], "cost": 2}))

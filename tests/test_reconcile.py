@@ -9,6 +9,7 @@ from explan.model import COST, FeatureSet, ModelFeature, apply_features, gamma
 from explan.planner import Plan, plan_optimal
 from explan.reconcile import (
     VARIANT_MCER,
+    VARIANT_NA,
     VARIANT_PP,
     OnlineExplanation,
     ReconciliationProblem,
@@ -436,3 +437,10 @@ def test_human_plan_extending_robot_plan_clamps_to_last_step():
     ap = oeg_ap(problem)  # an optimal human plan carrying [all-in-one] exists
     assert ap.parts == ()
     assert verify_online(problem, ap).final_check
+
+    # no robot action sits at steps 2 and 3, so a next-action part at step 3
+    # fails both its segment check and its trigger, without an IndexError
+    late = SubExplanation(features=problem.missing, step=3)
+    report = verify_online(problem, OnlineExplanation(variant=VARIANT_NA, parts=(late,)))
+    assert [c.holds for c in report.per_step] == [False]
+    assert not report.final_check
