@@ -17,10 +17,10 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ExplanError, UnknownAction
+from .errors import ExplanError, GuardExceeded, UnknownAction
 from .grounding import GroundedTask, align_universes, ground
 from .model import FeatureSet, GroundedModel, parse_feature_name, remove_features
-from .oracle import Overflow, PlanSet, min_complete_subsets, optimal_plans_of
+from .oracle import min_complete_subsets, robot_plan_is_optimal
 from .pddl import parse_domain, parse_problem
 from .planner import Plan
 from .reconcile import (
@@ -224,20 +224,19 @@ def run_method(problem: ReconciliationProblem, method: str,
 
 def _oracle_check(problem: ReconciliationProblem, method: str,
                   explanation: OnlineExplanation) -> bool | None:
-    """Cross-check a result against the enumeration oracles; None if too big."""
+    """Cross-check a result against the brute-force oracle's optimal costs.
+
+    ``mce`` and ``mce-r`` must give a minimum complete subset; ``oeg-ap``'s
+    features must make the robot plan start an optimal plan of the human
+    model, and every other method's must make it an optimal plan.  None
+    when the oracle's guard refuses a diff wider than 20 features.
+    """
     try:
         if method in ("mce", "mce-r"):
-            minimal = min_complete_subsets(problem)
-            return explanation.features in minimal
-        plans = optimal_plans_of(problem, explanation.features)
-        if isinstance(plans, Overflow):
-            return None
-        assert isinstance(plans, PlanSet)
-        if method == "oeg-ap":
-            prefix = problem.robot_plan.actions
-            return any(p[: len(prefix)] == prefix for p in plans.plans)
-        return problem.robot_plan.actions in plans.plans
-    except ExplanError:
+            return explanation.features in min_complete_subsets(problem)
+        return robot_plan_is_optimal(problem, explanation.features,
+                                     as_prefix=method == "oeg-ap")
+    except GuardExceeded:
         return None
 
 

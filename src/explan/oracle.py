@@ -1,8 +1,11 @@
 """Brute-force oracles for validating the planner and the explainers.
 
-These deliberately avoid the planner's code paths: states are frozensets,
-there are no tie-breaks, and results are *sets* of plans.  The bench harness
-attaches oracle columns on instances small enough for the guards.
+These deliberately avoid the planner's code paths: states are frozensets
+and there are no tie-breaks.  One uniform-cost search, which stops when the
+first goal state is popped, gives a task's optimal cost and the cost of
+every state cheaper than it.  The bench harness cross-checks explanations
+from those costs alone; enumerating the full set of optimal plans over the
+same search remains for the tests and ``optimal_plans_of``.
 """
 
 from __future__ import annotations
@@ -38,19 +41,19 @@ def _apply(action, state: frozenset[int]) -> frozenset[int]:
     return (state - action.delete) | action.add
 
 
-def enumerate_optimal_plans(
+def _search(
     model: GroundedModel,
     init: frozenset[int],
     goal: frozenset[int],
     max_cost: int | None,
-    max_count: int = 100_000,
-) -> PlanSet | Overflow:
-    """Exhaustively enumerate every minimum-cost plan of cost <= ``max_cost``.
+) -> tuple[dict[frozenset[int], int], int | None]:
+    """Cheapest-arrival costs within ``max_cost``, and the optimal cost.
 
-    First computes cheapest-arrival costs for all states reachable within
-    the bound, then walks every cost-tight action sequence; with positive
-    action costs this produces exactly the optimal plan set.  ``max_cost``
-    None explores the entire reachable space (small instances only).
+    Dijkstra with no tie-break that stops when the first goal state is
+    popped.  Action costs are at least 1, so by then every state cheaper
+    than the optimum is settled and every state at the optimum already
+    holds its cost.  The optimal cost is None when no goal state is
+    reachable within the bound.
     """
     if max_cost is not None and max_cost < 0:
         raise ValueError("max_cost must be >= 0")
@@ -58,13 +61,12 @@ def enumerate_optimal_plans(
     dist: dict[frozenset[int], int] = {init: 0}
     heap: list[tuple[int, int, frozenset[int]]] = [(0, 0, init)]
     tie = count(1)
-    best_goal: int | None = None
     while heap:
         d, _, state = heappop(heap)
-        if d > dist.get(state, -1):
+        if d > dist[state]:
             continue
-        if goal <= state and (best_goal is None or d < best_goal):
-            best_goal = d
+        if goal <= state:
+            return dist, d
         for action in model.actions:
             if action.pre <= state:
                 nd = d + action.cost
@@ -74,7 +76,30 @@ def enumerate_optimal_plans(
                 if nd < dist.get(nstate, nd + 1):
                     dist[nstate] = nd
                     heappush(heap, (nd, next(tie), nstate))
+    return dist, None
 
+
+def optimal_cost(model: GroundedModel, init: frozenset[int],
+                 goal: frozenset[int], max_cost: int | None = None) -> int | None:
+    """The optimal cost of reaching ``goal``, or None if it exceeds ``max_cost``."""
+    return _search(model, init, goal, max_cost)[1]
+
+
+def enumerate_optimal_plans(
+    model: GroundedModel,
+    init: frozenset[int],
+    goal: frozenset[int],
+    max_cost: int | None,
+    max_count: int = 100_000,
+) -> PlanSet | Overflow:
+    """Exhaustively enumerate every minimum-cost plan of cost <= ``max_cost``.
+
+    Walks every action sequence that stays cost-tight over ``_search``'s
+    costs; with positive action costs this produces exactly the optimal
+    plan set.  ``max_cost`` None leaves the search unbounded (small
+    instances only).
+    """
+    dist, best_goal = _search(model, init, goal, max_cost)
     if best_goal is None:
         return PlanSet(plans=frozenset(), cost=None)
 
@@ -105,8 +130,9 @@ def enumerate_optimal_plans(
     return PlanSet(plans=frozenset(plans), cost=best_goal)
 
 
-def _simulate_cost(model: GroundedModel, init: frozenset[int],
-                   goal: frozenset[int], actions: tuple[int, ...]) -> int | None:
+def _run(model: GroundedModel, init: frozenset[int],
+         actions: tuple[int, ...]) -> tuple[frozenset[int], int] | None:
+    """The state and cost that ``actions`` reach, or None if one is inapplicable."""
     state = init
     total = 0
     for aid in actions:
@@ -115,19 +141,57 @@ def _simulate_cost(model: GroundedModel, init: frozenset[int],
             return None
         state = _apply(action, state)
         total += action.cost
-    return total if goal <= state else None
+    return state, total
+
+
+def starts_optimal_plan(model: GroundedModel, init: frozenset[int],
+                        goal: frozenset[int], prefix: tuple[int, ...]) -> bool:
+    """Whether some optimal plan begins with ``prefix``, from optimal costs.
+
+    It does exactly when ``prefix`` runs to a state ``s`` at cost ``c`` and
+    ``c`` plus the optimal cost from ``s`` is the optimal cost from
+    ``init``.  Action costs are at least 1, so a prefix that reaches the
+    goal starts an optimal plan only by being one.
+    """
+    reached = _run(model, init, prefix)
+    if reached is None:
+        return False
+    state, cost = reached
+    if goal <= state:
+        return optimal_cost(model, init, goal, cost) == cost
+    best = optimal_cost(model, init, goal)
+    if best is None or best < cost:
+        return False
+    return optimal_cost(model, state, goal, best - cost) == best - cost
+
+
+def _simulate_cost(model: GroundedModel, init: frozenset[int],
+                   goal: frozenset[int], actions: tuple[int, ...]) -> int | None:
+    reached = _run(model, init, actions)
+    return reached[1] if reached is not None and goal <= reached[0] else None
 
 
 def _is_complete(problem: "ReconciliationProblem", delta: FeatureSet) -> bool:
+    """The robot plan is a plan of the updated human model at its optimal cost."""
     updated = apply_features(problem.human_model, delta)
     plan_cost = _simulate_cost(updated, problem.init, problem.goal,
                                problem.robot_plan.actions)
-    if plan_cost is None:
-        return False
-    found = enumerate_optimal_plans(updated, problem.init, problem.goal,
-                                    max_cost=plan_cost)
-    assert isinstance(found, PlanSet)
-    return found.cost == plan_cost
+    return (plan_cost is not None
+            and optimal_cost(updated, problem.init, problem.goal, plan_cost) == plan_cost)
+
+
+def robot_plan_is_optimal(problem: "ReconciliationProblem", extra: FeatureSet,
+                          *, as_prefix: bool = False) -> bool:
+    """Whether the robot plan is an optimal plan of the human model plus ``extra``.
+
+    With ``as_prefix``, whether some optimal plan of that model starts with
+    the robot plan.  Both answers come from optimal costs, with no plan set.
+    """
+    if not as_prefix:
+        return _is_complete(problem, extra)
+    updated = apply_features(problem.human_model, extra)
+    return starts_optimal_plan(updated, problem.init, problem.goal,
+                               problem.robot_plan.actions)
 
 
 def min_complete_subsets(problem: "ReconciliationProblem") -> list[FeatureSet]:

@@ -375,3 +375,45 @@ def test_cli_bench_keeps_going_past_an_unreadable_entry(tmp_path, capsys):
     assert rows[1].startswith("missing,mce,n/a,")
     assert err.splitlines() == [
         f"missing/mce: [Errno 2] No such file or directory: '{missing}'"]
+
+
+def test_cli_bench_oracle_checks_a_task_with_too_many_optimal_plans(tmp_path, capsys):
+    # nine independent jobs: 9! optimal plans, more than the enumeration's
+    # 100 000 cap, which the cost-based checks never build
+    jobs = " ".join(f"j{i}" for i in range(1, 10))
+    (tmp_path / "domain.pddl").write_text(textwrap.dedent("""
+        (define (domain jobs)
+          (:requirements :strips :typing)
+          (:types job)
+          (:predicates (ready ?j - job) (done ?j - job) (logged ?j - job))
+          (:action do
+            :parameters (?j - job)
+            :precondition (ready ?j)
+            :effect (and (done ?j) (not (ready ?j))))
+          (:action log
+            :parameters (?j - job)
+            :precondition (done ?j)
+            :effect (logged ?j)))
+    """))
+    (tmp_path / "problem.pddl").write_text(textwrap.dedent(f"""
+        (define (problem nine-jobs)
+          (:domain jobs)
+          (:objects {jobs} - job)
+          (:init {" ".join(f"(ready j{i})" for i in range(1, 10))})
+          (:goal (and {" ".join(f"(done j{i})" for i in range(1, 10))})))
+    """))
+    (tmp_path / "removals.txt").write_text("log j1-has-precondition-done j1\n")
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({
+        "methods": ["mce", "oeg-pp"],
+        "oracle_checks": True,
+        "entries": [{"id": "jobs", "domain": "domain.pddl",
+                     "problem": "problem.pddl",
+                     "remove_features": "removals.txt"}],
+    }))
+    assert cli_main(["bench", "--config", str(config), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    rows = json.loads(out)
+    assert [r["method"] for r in rows] == ["mce", "oeg-pp"]
+    assert all(r["error"] is None and r["oracle_verified"] is True for r in rows), rows
+    assert err == ""
